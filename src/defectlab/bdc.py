@@ -9,20 +9,19 @@ outputs its stuck value no matter what is written.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import bec, gf2
+from .bec import EXHAUSTIVE_CAP  # re-exported: one cap for both channels
 from .codes import LinearCode
-from .errors import CapacityError
-from .stats import FailureEstimate, as_fraction
+from .errors import CapacityError, InvariantViolation
+from .stats import FailureEstimate
 
 NORMAL = -1
 
-EXHAUSTIVE_CAP = 20
 MDE_CAP = 20
 
 
@@ -168,7 +167,8 @@ def mde_encode(code: LinearCode, message, pattern: DefectPattern,
                 best_parity = parity_word
     parity = gf2.unpack_vector(best_parity, width)
     codeword = base ^ gf2.mat_mul(code.H, parity)
-    assert error_count(codeword, pattern) == best_residual
+    if error_count(codeword, pattern) != best_residual:
+        raise InvariantViolation("encoded word misses a different number of stuck cells than searched")
     return EncodeOutcome(codeword, parity, best_residual == 0, best_residual)
 
 
@@ -200,15 +200,7 @@ def decode(code: LinearCode, y) -> np.ndarray:
 
 def conditional_encfail_exact(code: LinearCode, defect_set) -> Fraction:
     """Masking failure probability over uniform stuck values, given the locations."""
-    defect_set = np.asarray(defect_set, dtype=np.intp)
-    if defect_set.size and (defect_set.min() < 0 or defect_set.max() >= code.n):
-        raise ValueError("defect index out of range")
-    rows = [code.h_rows_packed[i] for i in defect_set]
-    rref = gf2._OnlineRref()
-    for row in rows:
-        rref.insert(row)
-    j = len(rows) - len(rref.pivots)
-    return Fraction((1 << j) - 1, 1 << j)
+    return bec._pattern_failure(code, defect_set, "defect")
 
 
 def enc_failure_bound(n: int, u: int, d_star: int, wd_dual) -> bec.FailureBound:
@@ -222,7 +214,7 @@ def enc_failure_prob(code: LinearCode, beta, mode: str = "exhaustive", *,
                      rng: np.random.Generator | None = None) -> FailureEstimate:
     """Overall P(masking failure) at defect probability beta."""
     if mode == "exhaustive":
-        return FailureEstimate.from_exact(_exhaustive_encfail(code, as_fraction(beta)))
+        return FailureEstimate.from_exact(bec.exhaustive_failure(code, beta, "beta"))
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     beta = float(beta)
@@ -269,29 +261,3 @@ def _mc_masking_failures(code: LinearCode, beta: float, trials: int,
             if word:
                 rref.insert_reduced(word, (word & -word).bit_length() - 1)
     return failures
-
-
-def _exhaustive_encfail(code: LinearCode, beta: Fraction) -> Fraction:
-    if code.n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive mode is capped at n <= {EXHAUSTIVE_CAP}, got n={code.n}")
-    if not 0 <= beta <= 1:
-        raise ValueError("beta must lie in [0, 1]")
-    n = code.n
-    rows = code.h_rows_packed
-    total = Fraction(0)
-    for u in range(n + 1):
-        if beta == 0 and u > 0:
-            continue
-        if beta == 1 and u < n:
-            continue
-        weight = beta ** u * (1 - beta) ** (n - u)
-        pattern_sum = Fraction(0)
-        for pattern in itertools.combinations(range(n), u):
-            rref = gf2._OnlineRref()
-            for i in pattern:
-                rref.insert(rows[i])
-            j = u - len(rref.pivots)
-            if j:
-                pattern_sum += Fraction((1 << j) - 1, 1 << j)
-        total += weight * pattern_sum
-    return total

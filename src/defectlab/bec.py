@@ -8,7 +8,6 @@ failures come from.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -118,19 +117,63 @@ def map_decode_parity(code: LinearCode, obs: ErasureObservation) -> gf2.Solution
 
 def conditional_failure_exact(code: LinearCode, erased) -> Fraction:
     """Failure probability of random tie-breaking given the erasure pattern."""
-    erased = np.asarray(erased, dtype=np.intp)
-    if erased.size and (erased.min() < 0 or erased.max() >= code.n):
-        raise ValueError("erasure index out of range")
-    rows = [code.h_rows_packed[i] for i in erased]
-    j = len(rows) - _packed_rank(rows)
+    return _pattern_failure(code, erased, "erasure")
+
+
+def _pattern_failure(code: LinearCode, pattern, kind: str) -> Fraction:
+    """1 - 2^-j for j the nullity of H's rows on the pattern: the conditional
+    failure of either channel, checked one pattern at a time."""
+    pattern = np.asarray(pattern, dtype=np.intp)
+    if pattern.size and (pattern.min() < 0 or pattern.max() >= code.n):
+        raise ValueError(f"{kind} index out of range")
+    j = pattern.size - gf2.rank_packed(code.h_rows_packed[i] for i in pattern)
     return Fraction((1 << j) - 1, 1 << j)
 
 
-def _packed_rank(rows) -> int:
-    rref = gf2._OnlineRref()
-    for row in rows:
-        rref.insert(row)
-    return len(rref.pivots)
+def failure_numerators(code: LinearCode) -> list[int]:
+    """2^n times the conditional failure summed over all patterns of each size e.
+
+    A pattern E fails with probability 1 - 2^-j on both channels, j being the
+    nullity of H's rows on E, so the sums are read off the code's nullity
+    profile.
+    """
+    _check_exhaustive_cap(code)
+    return [_numerator(enumerate(row), code.n) for row in code.h_nullity_profile]
+
+
+def generator_failure_numerators(code: LinearCode) -> list[int]:
+    """failure_numerators by the generator route that map_decode_generator
+    solves: erasing E leaves k - rank(G on the kept set) message bits free."""
+    _check_exhaustive_cap(code)
+    n, k = code.n, code.k
+    kept = gf2.nullity_profile(code.g_rows_packed, k)
+    return [_numerator(((k - (n - e) + j, count) for j, count in enumerate(kept[n - e])), n)
+            for e in range(n + 1)]
+
+
+def _numerator(nullity_counts, n: int) -> int:
+    return sum(count * ((1 << j) - 1) << (n - j) for j, count in nullity_counts if count)
+
+
+def pattern_polynomial(numerators: list[int], p: Fraction) -> Fraction:
+    """Sum over e of p^e (1 - p)^(n - e) numerators[e] / 2^n, in exact arithmetic."""
+    n = len(numerators) - 1
+    a, b = p.numerator, p.denominator
+    total = sum(a ** e * (b - a) ** (n - e) * num for e, num in enumerate(numerators))
+    return Fraction(total, b ** n << n)
+
+
+def exhaustive_failure(code: LinearCode, p, name: str) -> Fraction:
+    """Exact failure probability of either channel at pattern probability p."""
+    p = as_fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"{name} must lie in [0, 1]")
+    return pattern_polynomial(failure_numerators(code), p)
+
+
+def _check_exhaustive_cap(code: LinearCode) -> None:
+    if code.n > EXHAUSTIVE_CAP:
+        raise CapacityError(f"exhaustive mode is capped at n <= {EXHAUSTIVE_CAP}, got n={code.n}")
 
 
 def failure_bound(n: int, e: int, d: int, wd) -> FailureBound:
@@ -161,12 +204,12 @@ def failure_prob(code: LinearCode, alpha, mode: str = "exhaustive", *,
                  rng: np.random.Generator | None = None) -> FailureEstimate:
     """Overall P(decoding failure) at erasure probability alpha.
 
-    Exhaustive mode sums the exact conditional failure over every erasure
-    pattern with exact rational pattern weights.  Monte Carlo mode simulates
+    Exhaustive mode evaluates the code's nullity profile as a polynomial in
+    alpha with exact rational arithmetic.  Monte Carlo mode simulates
     encode/erase/decode trials and reports a Wilson 95% interval.
     """
     if mode == "exhaustive":
-        return FailureEstimate.from_exact(_exhaustive_failure(code, as_fraction(alpha)))
+        return FailureEstimate.from_exact(exhaustive_failure(code, alpha, "alpha"))
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
     alpha = float(alpha)
@@ -231,26 +274,3 @@ def _random_bits(rng: np.random.Generator, width: int) -> int:
     for shift in range(0, width, 32):
         out |= int(rng.integers(0, 1 << min(32, width - shift))) << shift
     return out
-
-
-def _exhaustive_failure(code: LinearCode, alpha: Fraction) -> Fraction:
-    if code.n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive mode is capped at n <= {EXHAUSTIVE_CAP}, got n={code.n}")
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    n = code.n
-    rows = code.h_rows_packed
-    total = Fraction(0)
-    for e in range(n + 1):
-        if alpha == 0 and e > 0:
-            continue
-        if alpha == 1 and e < n:
-            continue
-        weight = alpha ** e * (1 - alpha) ** (n - e)
-        pattern_sum = Fraction(0)
-        for pattern in itertools.combinations(range(n), e):
-            j = e - _packed_rank([rows[i] for i in pattern])
-            if j:
-                pattern_sum += Fraction((1 << j) - 1, 1 << j)
-        total += weight * pattern_sum
-    return total

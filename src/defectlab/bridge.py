@@ -14,6 +14,7 @@ import numpy as np
 
 from . import bdc, gf2
 from .codes import LinearCode
+from .errors import InvariantViolation
 
 FREE = -1
 
@@ -93,5 +94,5 @@ def wom_write(code: LinearCode, state: WomState, message) -> tuple[WomState, boo
         return state, False
     new_state = WomState(out.codeword)
     if np.any(new_state.cells < state.cells):
-        raise AssertionError("write lowered a cell despite masking success")
+        raise InvariantViolation("write lowered a cell despite masking success")
     return new_state, True

@@ -4,7 +4,7 @@ Verbs: duality, bounds, lwc-audit, quaternity, code-info.  Results are rows
 of a fixed schema written as CSV or JSON lines; reruns with the same config
 and seed are byte-identical (timings go to stderr only).  Exit codes: 0 on
 success, 2 on a configuration error, 3 when a self-audit or built-in
-consistency assertion fails.
+consistency assertion fails or a masking request cannot be met.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
 from . import bdc, bec, bridge, codes, gf2, lwc
-from .errors import InvariantViolation
+from .errors import CapacityError, InvariantViolation, MaskingError
 from .stats import as_fraction
 
 EXIT_OK = 0
@@ -253,11 +254,7 @@ def _audit_decode_failure(code: codes.LinearCode, alpha: Fraction) -> Fraction:
             continue
         for pattern in itertools.combinations(range(n), e):
             erased = set(pattern)
-            kept = [g_rows[i] for i in range(n) if i not in erased]
-            rref = gf2._OnlineRref()
-            for row in kept:
-                rref.insert(row)
-            j = code.k - len(rref.pivots)
+            j = code.k - gf2.rank_packed(g_rows[i] for i in range(n) if i not in erased)
             if j:
                 total += weight * Fraction((1 << j) - 1, 1 << j)
     return total
@@ -286,17 +283,6 @@ def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
     return total
 
 
-def _pattern_oracle_conditional(code: codes.LinearCode, e: int, side: str) -> Fraction:
-    """Average conditional failure over all patterns of a given size."""
-    from math import comb
-
-    conditional = bec.conditional_failure_exact if side == "bec" else bdc.conditional_encfail_exact
-    total = Fraction(0)
-    for pattern in itertools.combinations(range(code.n), e):
-        total += conditional(code, pattern)
-    return total / comb(code.n, e)
-
-
 # -- commands ----------------------------------------------------------------------
 
 def _mc_duality_point(code_spec: str, side: str, prob: float, trials: int,
@@ -316,12 +302,20 @@ def cmd_duality(opts: Options) -> list[ResultRow]:
         raise ConfigError("alpha and beta grids must have the same length")
     rows: list[ResultRow] = []
     if opts.mode == "exhaustive":
+        generator_route = None
         for alpha, beta in zip(opts.alpha, opts.beta):
             p_dec = bec.failure_prob(code, as_fraction(alpha), "exhaustive").exact
             p_enc = bdc.enc_failure_prob(code, as_fraction(beta), "exhaustive").exact
-            if alpha == beta and p_dec != p_enc:
-                raise InvariantViolation(
-                    f"decoding and masking failure differ at alpha=beta={alpha}: {p_dec} vs {p_enc}")
+            if alpha == beta:
+                # Both sides read H's nullity profile; check them against G's.
+                if generator_route is None:
+                    generator_route = bec.generator_failure_numerators(code)
+                expected = bec.pattern_polynomial(generator_route, as_fraction(alpha))
+                if p_dec != expected or p_enc != expected:
+                    raise InvariantViolation(
+                        f"failure probabilities at alpha=beta={alpha} disagree with the "
+                        f"generator-side route: decoding {p_dec}, masking {p_enc}, "
+                        f"generator ranks {expected}")
             if opts.self_audit:
                 audit_dec = _audit_decode_failure(code, as_fraction(alpha))
                 audit_enc = _audit_masking_failure(code, as_fraction(beta))
@@ -354,7 +348,9 @@ def cmd_bounds(opts: Options) -> list[ResultRow]:
     code = parse_code_spec(opts.code_spec)
     wd = code.weight_distribution()
     d = code.min_distance()
-    oracle_ok = code.n <= bec.EXHAUSTIVE_CAP
+    # The oracle is the per-size average of H's nullity profile, the same
+    # table on both sides; --self-audit checks it against the weight enumerator.
+    numerators = bec.failure_numerators(code) if code.n <= bec.EXHAUSTIVE_CAP else None
     rows = []
     for side in ("bec", "bdc"):
         for e in range(code.n + 1):
@@ -362,7 +358,9 @@ def cmd_bounds(opts: Options) -> list[ResultRow]:
                 piece = bec.failure_bound(code.n, e, d, wd)
             else:
                 piece = bdc.enc_failure_bound(code.n, e, d, wd)
-            oracle = _pattern_oracle_conditional(code, e, side) if oracle_ok else None
+            oracle = None
+            if numerators is not None:
+                oracle = Fraction(numerators[e], comb(code.n, e) << code.n)
             estimate = float(oracle) if oracle is not None else float(piece.value)
             if opts.self_audit and oracle is not None:
                 if piece.regime in ("zero", "exact") and piece.value != oracle:
@@ -508,14 +506,16 @@ def cmd_code_info(opts: Options) -> list[ResultRow]:
     ]
     try:
         d = code.min_distance()
-        rows.insert(2, ResultRow("code-info", code.name, "d", 0.0, float(d), float(d), float(d),
-                                 "", "", "", 0, opts.seed))
-        for w, count in enumerate(code.weight_distribution()):
-            if count:
-                rows.append(ResultRow("code-info", code.name, "weight", float(w), float(count),
-                                      float(count), float(count), str(count), "", "", 0, opts.seed))
-    except Exception:
-        pass  # distance/weights only for enumerable codes
+        wd = code.weight_distribution()
+    except CapacityError as exc:
+        print(f"note: d and weight rows omitted: {exc}", file=sys.stderr)
+        return rows
+    rows.insert(2, ResultRow("code-info", code.name, "d", 0.0, float(d), float(d), float(d),
+                             "", "", "", 0, opts.seed))
+    for w, count in enumerate(wd):
+        if count:
+            rows.append(ResultRow("code-info", code.name, "weight", float(w), float(count),
+                                  float(count), float(count), str(count), "", "", 0, opts.seed))
     return rows
 
 
@@ -540,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
+    except MaskingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     if opts.out:
         with open(opts.out, "w", encoding="utf-8", newline="") as fh:

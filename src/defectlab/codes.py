@@ -128,6 +128,14 @@ class LinearCode:
         return gf2.pack_rows(self.H)
 
     @cached_property
+    def h_nullity_profile(self) -> tuple[tuple[int, ...], ...]:
+        """N[e][j]: sets of e rows of H with nullity j, shared by both channels.
+
+        Walks up to 2^n row subsets on first use; callers enforce their caps.
+        """
+        return gf2.nullity_profile(self.h_rows_packed, self.n - self.k)
+
+    @cached_property
     def decode_rows_packed(self) -> list[int]:
         return gf2.pack_rows(self.decode_map)
 

@@ -9,7 +9,8 @@ of each row, scanning columns first to last.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -188,12 +189,54 @@ class SolutionSpace:
             yield x
 
 
-def rank(m) -> int:
-    """Rank over GF(2)."""
+def rank_packed(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of packed rows."""
     rref = _OnlineRref()
-    for row in pack_rows(m):
+    for row in rows:
         rref.insert(row)
     return len(rref.pivots)
+
+
+def rank(m) -> int:
+    """Rank over GF(2)."""
+    return rank_packed(pack_rows(m))
+
+
+def nullity_profile(rows: Sequence[int], width: int) -> tuple[tuple[int, ...], ...]:
+    """Count row subsets by size and nullity: N[e][j] = #{E : |E| = e, e - rank(E) = j}.
+
+    This is the rank-generating table of the binary matroid of `rows` (packed
+    words of `width` bits).  A depth-first walk adds rows in index order to an
+    echelon basis.  Each level keeps the untried rows reduced against the
+    basis so far, so a row is independent exactly when its reduced word is
+    nonzero, and undoing a step is returning from the call.  Once the basis
+    reaches rank `width`, every further row is dependent, and the m untried
+    rows are added in closed form: C(m, t) sets of size e + t and nullity j + t.
+    """
+    n = len(rows)
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    binomials = [[comb(m, t) for t in range(m + 1)] for m in range(n + 1)]
+
+    def saturate(size: int, nullity: int, untried: int) -> None:
+        for t, count in enumerate(binomials[untried]):
+            counts[size + t][nullity + t] += count
+
+    def walk(rest: list[int], size: int, rank: int) -> None:
+        counts[size][size - rank] += 1
+        for i, row in enumerate(rest):
+            if not row:
+                walk(rest[i + 1:], size + 1, rank)
+            elif rank + 1 < width:
+                pivot = row & -row
+                walk([x ^ row if x & pivot else x for x in rest[i + 1:]], size + 1, rank + 1)
+            else:
+                saturate(size + 1, size - rank, len(rest) - i - 1)
+
+    if width:
+        walk(list(rows), 0, 0)
+    else:
+        saturate(0, 0, n)
+    return tuple(tuple(row) for row in counts)
 
 
 def solve(a, b) -> SolutionSpace:

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import bdc, gf2
 from .codes import ENUM_CAP, LinearCode
-from .errors import CapacityError, ConstructionError, LocalityError, MaskingError
+from .errors import (CapacityError, ConstructionError, InvariantViolation, LocalityError,
+                     MaskingError)
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def rewriting_locality(code: LinearCode, cap: int = ENUM_CAP) -> LwcProfile:
     profile = LwcProfile(code.n, code.k, d_star, max(per_coordinate), per_coordinate)
     bound = singleton_like_bound(profile.n, profile.k, profile.r_star)
     if profile.d_star > bound:
-        raise AssertionError(f"profile {profile} violates the distance bound {bound}")
+        raise InvariantViolation(f"profile {profile} violates the distance bound {bound}")
     return profile
 
 

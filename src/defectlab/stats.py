@@ -10,7 +10,11 @@ Z_95 = 1.959963984540054
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+    """Wilson score interval for a binomial proportion.
+
+    The ends are exact at the edges: no successes give a lower bound of 0,
+    and all successes an upper bound of 1, so the estimate stays inside.
+    """
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
@@ -19,7 +23,9 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
 
 
 def as_fraction(x) -> Fraction:

@@ -193,3 +193,88 @@ def test_workers_do_not_change_results(capsys):
     rc2, out2 = run_cli(args + ["--workers", "2"], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_code_info_names_the_cap_when_rows_are_omitted(capsys):
+    import json
+
+    rc = cli.main(["code-info", "--code", "bch:8,20", "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    rows = [json.loads(line) for line in captured.out.splitlines()]
+    assert [r["side"] for r in rows] == ["n", "k", "rate", "cyclic"]
+    notes = [line for line in captured.err.splitlines() if not line.startswith("#")]
+    assert len(notes) == 1
+    assert "d and weight rows omitted" in notes[0] and "enumeration cap 24" in notes[0]
+
+
+def test_code_info_keeps_weight_rows(capsys):
+    rc, out = run_cli(["code-info", "--code", "hamming:3"], capsys)
+    assert rc == 0
+    weights = {float(r["param"]): r["exact"] for r in parse_csv(out) if r["side"] == "weight"}
+    assert weights == {0.0: "1", 3.0: "7", 4.0: "7", 7.0: "1"}
+
+
+def test_duality_checks_against_the_generator_route(capsys, monkeypatch):
+    """A corrupted H-side profile moves both channels alike; only the
+    generator-side route catches it."""
+    real = codes.LinearCode.h_nullity_profile.func
+
+    def corrupted(self):
+        profile = [list(row) for row in real(self)]
+        profile[3][0] -= 1  # one independent triple recounted as dependent
+        profile[3][1] += 1
+        return tuple(map(tuple, profile))
+
+    monkeypatch.setattr(codes.LinearCode, "h_nullity_profile", property(corrupted))
+    code = codes.hamming(3)
+    assert (cli.bec.failure_prob(code, "0.1").exact
+            == cli.bdc.enc_failure_prob(code, "0.1").exact
+            != Fraction(118569, 32000000))
+    rc = cli.main(["duality", "--code", "hamming:3", "--alpha", "0.1", "--mode", "exhaustive"])
+    assert rc == cli.EXIT_AUDIT
+    assert "generator-side route" in capsys.readouterr().err
+
+
+def test_mde_invariant_exits_3(capsys, monkeypatch):
+    from defectlab import bdc
+
+    monkeypatch.setattr(cli.bdc, "additive_encode", bdc.mde_encode)
+    monkeypatch.setattr(bdc, "error_count", lambda x, pattern: -1)
+    rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
+                   "--trials", "5"])
+    assert rc == cli.EXIT_AUDIT
+    assert capsys.readouterr().err.startswith("invariant violation: encoded word")
+
+
+def test_rewriting_locality_invariant_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(cli.lwc, "singleton_like_bound", lambda n, k, r: 0)
+    rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
+                   "--trials", "5"])
+    assert rc == cli.EXIT_AUDIT
+    assert "violates the distance bound" in capsys.readouterr().err
+
+
+def test_wom_write_invariant_exits_3(capsys, monkeypatch):
+    from defectlab import bdc
+
+    # a reduction that forgets the stored ones lets the encoder lower a cell
+    monkeypatch.setattr(cli.bridge, "wom_to_defects",
+                        lambda state: bdc.DefectPattern.all_normal(state.n))
+    rc = cli.main(["quaternity", "--code", "two_block:8", "--alpha", "0.5",
+                   "--trials", "50", "--seed", "2"])
+    assert rc == cli.EXIT_AUDIT
+    assert "lowered a cell" in capsys.readouterr().err
+
+
+def test_masking_error_exits_3(capsys, monkeypatch):
+    from defectlab.errors import MaskingError
+
+    def no_coset_word(*args, **kwargs):
+        raise MaskingError("no word of the new message's coset matches the stuck cell")
+
+    monkeypatch.setattr(cli.lwc, "rewrite_update", no_coset_word)
+    rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
+                   "--trials", "5"])
+    assert rc == cli.EXIT_AUDIT
+    assert capsys.readouterr().err.startswith("error: no word")
