@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bec, gf2
 from .bec import EXHAUSTIVE_CAP  # re-exported: one cap for both channels
-from .codes import LinearCode
+from .codes import LinearCode, gray_combinations
 from .errors import CapacityError, InvariantViolation
 from .stats import FailureEstimate
 
@@ -66,6 +66,10 @@ class DefectPattern:
     def from_stuck(cls, n: int, stuck: dict[int, int]) -> "DefectPattern":
         s = np.full(n, NORMAL, dtype=np.int8)
         for i, v in stuck.items():
+            if not 0 <= i < n:
+                raise ValueError(f"stuck cell {i} lies outside [0, {n})")
+            if v not in (0, 1):
+                raise ValueError(f"stuck value {v!r} of cell {i} is not 0 or 1")
             s[i] = v
         return cls(s)
 
@@ -126,45 +130,41 @@ def additive_encode(code: LinearCode, message, pattern: DefectPattern) -> Encode
     """
     message = _check_instance(code, message, pattern)
     base = code.embed(message)
-    defects = pattern.defect_set
-    stuck = pattern.s[defects].astype(np.uint8)
-    rows = [code.h_rows_packed[i] for i in defects]
-    rhs = gf2.pack_vector(base[defects] ^ stuck)
-    sol = gf2.solve_packed(rows, code.n - code.k, rhs)
+    sol = _mask_packed(code, gf2.pack_vector(pattern.s != NORMAL),
+                       gf2.pack_vector(base ^ (pattern.s == 1)))
     parity = gf2.unpack_vector(sol.particular, code.n - code.k)
     codeword = base ^ gf2.mat_mul(code.H, parity)
     residual = error_count(codeword, pattern)
     return EncodeOutcome(codeword, parity, residual == 0, residual)
 
 
+def _mask_packed(code: LinearCode, defects: int, target: int) -> gf2.PackedSolution:
+    """Parity word p with (H p)_i = bit i of `target` on every defect cell i
+    (a bit mask); it is consistent exactly when the defects can be masked."""
+    return gf2.solve_packed(code.h_rows_packed, code.n - code.k, target, defects)
+
+
 def mde_encode(code: LinearCode, message, pattern: DefectPattern,
                cap: int = MDE_CAP) -> EncodeOutcome:
-    """Exhaustive error-minimizing encoder; ties go to the smallest parity."""
+    """Exhaustive error-minimizing encoder; ties go to the lexicographically
+    smallest parity."""
     width = code.n - code.k
     if width > cap:
         raise CapacityError(f"n-k={width} exceeds the exhaustive parity cap {cap}")
     message = _check_instance(code, message, pattern)
     base = code.embed(message)
-    defects = pattern.defect_set
-    stuck = pattern.s[defects].astype(np.uint8)
-    restricted_cols = gf2.pack_rows(code.H[defects].T)  # column j of the masking generator on U
-    target = gf2.pack_vector(base[defects] ^ stuck)
+    defects = gf2.pack_vector(pattern.s != NORMAL)
+    target = gf2.pack_vector(base ^ (pattern.s == 1)) & defects
+    restricted_cols = [col & defects for col in code.h_cols_packed]
 
     best_parity = 0
     best_residual = target.bit_count()
-    parity_word = 0
-    mismatch = target
-    for i in range(1, 1 << width):
-        bit = (i & -i).bit_length() - 1
-        parity_word ^= 1 << bit
-        mismatch ^= restricted_cols[bit]
-        residual = mismatch.bit_count()
-        if residual < best_residual:
+    for i, word in enumerate(gray_combinations(restricted_cols, width)):
+        parity_word = i ^ (i >> 1)  # the columns summed at step i of the Gray walk
+        residual = (target ^ word).bit_count()
+        if residual < best_residual or (residual == best_residual
+                                        and gf2.precedes(parity_word, best_parity)):
             best_residual, best_parity = residual, parity_word
-        elif residual == best_residual and parity_word != best_parity:
-            low = ((parity_word ^ best_parity) & -(parity_word ^ best_parity)).bit_length() - 1
-            if not (parity_word >> low) & 1:
-                best_parity = parity_word
     parity = gf2.unpack_vector(best_parity, width)
     codeword = base ^ gf2.mat_mul(code.H, parity)
     if error_count(codeword, pattern) != best_residual:
@@ -213,51 +213,20 @@ def enc_failure_prob(code: LinearCode, beta, mode: str = "exhaustive", *,
                      trials: int = 10_000, seed: int = 0,
                      rng: np.random.Generator | None = None) -> FailureEstimate:
     """Overall P(masking failure) at defect probability beta."""
-    if mode == "exhaustive":
-        return FailureEstimate.from_exact(bec.exhaustive_failure(code, beta, "beta"))
-    if mode != "monte_carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    beta = float(beta)
-    if not 0 <= beta <= 1:
-        raise ValueError("beta must lie in [0, 1]")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-    failures = 0
-    for chunk in bec._chunk_sizes(trials):
-        failures += _mc_masking_failures(code, beta, chunk, rng)
-    return FailureEstimate.from_counts(failures, trials)
+    return bec.channel_failure_prob(code, beta, "beta", mode, trials, seed, rng,
+                                    _mc_masking_failures)
 
 
 def _mc_masking_failures(code: LinearCode, beta: float, trials: int,
                          rng: np.random.Generator) -> int:
-    """Simulate message/state draws and the solvability of the parity system.
-
-    Matches additive_encode's success indicator trial for trial; sampling and
-    message embedding happen in bulk.
-    """
+    """Message/state trials: messages, defects and stuck values are drawn in
+    bulk, then each trial is one call of the masking kernel."""
     n, k = code.n, code.k
-    h_rows = code.h_rows_packed
-    width = n - k
-    aug = 1 << width
     messages = rng.integers(0, 2, (trials, k), dtype=np.uint8)
     defect_masks = (rng.random((trials, n)) < beta).astype(np.uint8)
     stuck_values = rng.integers(0, 2, (trials, n), dtype=np.uint8)
     embedded = np.zeros((trials, n), dtype=np.uint8)
-    if k:
-        embedded[:, list(code.info_positions)] = messages
+    embedded[:, list(code.info_positions)] = messages
     targets = gf2.pack_rows(embedded ^ stuck_values)
-    masks = gf2.pack_rows(defect_masks)
-    failures = 0
-    for b_int, mask in zip(targets, masks):
-        rref = gf2._OnlineRref()
-        while mask:
-            low = mask & -mask
-            i = low.bit_length() - 1
-            mask ^= low
-            word = rref.reduce(h_rows[i] | (aug if (b_int >> i) & 1 else 0))
-            if word == aug:
-                failures += 1
-                break
-            if word:
-                rref.insert_reduced(word, (word & -word).bit_length() - 1)
-    return failures
+    return sum(not _mask_packed(code, defects, target).consistent
+               for target, defects in zip(targets, gf2.pack_rows(defect_masks)))

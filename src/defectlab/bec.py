@@ -23,6 +23,8 @@ ERASED = -1
 
 EXHAUSTIVE_CAP = 20
 
+MC_CHUNK = 1 << 16
+
 
 def capacity(alpha: float) -> float:
     """Channel capacity at erasure probability alpha."""
@@ -96,13 +98,31 @@ def map_decode_generator(code: LinearCode, obs: ErasureObservation, true_message
     if obs.n != code.n:
         raise ValueError(f"observation length {obs.n} != blocklength {code.n}")
     true_message = gf2.as_bit_vector(true_message, code.k)
-    kept = obs.unerased_set
-    space = gf2.solve(code.G[kept], obs.y[kept].astype(np.uint8))
-    if space.status == "inconsistent":
+    estimate, free = _decode_packed(code, gf2.pack_vector(obs.y != ERASED),
+                                    gf2.pack_vector(obs.y == 1), rng)
+    return DecodeOutcome(gf2.unpack_vector(estimate, code.k),
+                         estimate == gf2.pack_vector(true_message), free)
+
+
+def _decode_packed(code: LinearCode, kept: int, received: int,
+                   rng: np.random.Generator) -> tuple[int, int]:
+    """Packed message estimate and its number of free bits.
+
+    Solves G's rows on the kept coordinates (bit mask) against the received
+    word; the 2^free candidates that agree with it are equally likely, so a
+    tie is broken by a uniform draw.
+    """
+    sol = gf2.solve_packed(code.g_rows_packed, code.k, received, kept)
+    if not sol.consistent:
         raise InvariantViolation("received word agrees with no codeword; input is corrupted")
-    estimate = space.sample(rng) if space.dimension else space.particular
-    return DecodeOutcome(estimate, bool(np.array_equal(estimate, true_message)),
-                         space.dimension)
+    free = code.k - sol.rank
+    estimate = sol.particular
+    if free:
+        combo = _random_bits(rng, free)
+        for idx, vec in enumerate(sol.basis):
+            if (combo >> idx) & 1:
+                estimate ^= vec
+    return estimate, free
 
 
 def map_decode_parity(code: LinearCode, obs: ErasureObservation) -> gf2.SolutionSpace:
@@ -126,6 +146,8 @@ def _pattern_failure(code: LinearCode, pattern, kind: str) -> Fraction:
     pattern = np.asarray(pattern, dtype=np.intp)
     if pattern.size and (pattern.min() < 0 or pattern.max() >= code.n):
         raise ValueError(f"{kind} index out of range")
+    if np.unique(pattern).size != pattern.size:
+        raise ValueError(f"repeated {kind} index")
     j = pattern.size - gf2.rank_packed(code.h_rows_packed[i] for i in pattern)
     return Fraction((1 << j) - 1, 1 << j)
 
@@ -208,65 +230,42 @@ def failure_prob(code: LinearCode, alpha, mode: str = "exhaustive", *,
     alpha with exact rational arithmetic.  Monte Carlo mode simulates
     encode/erase/decode trials and reports a Wilson 95% interval.
     """
+    return channel_failure_prob(code, alpha, "alpha", mode, trials, seed, rng,
+                                _mc_decode_failures)
+
+
+def channel_failure_prob(code: LinearCode, p, name: str, mode: str, trials: int, seed: int,
+                         rng: np.random.Generator | None, simulate) -> FailureEstimate:
+    """Failure probability of either channel at pattern probability p.
+
+    Exhaustive mode is exact; Monte Carlo mode counts the failures that
+    simulate(code, p, trials, rng) returns, in chunks of at most MC_CHUNK
+    trials drawn from one stream (seeded by `seed` unless `rng` is given).
+    """
     if mode == "exhaustive":
-        return FailureEstimate.from_exact(exhaustive_failure(code, alpha, "alpha"))
+        return FailureEstimate.from_exact(exhaustive_failure(code, p, name))
     if mode != "monte_carlo":
         raise ValueError(f"unknown mode {mode!r}")
-    alpha = float(alpha)
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
+    p = float(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"{name} must lie in [0, 1]")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-    failures = 0
-    for chunk in _chunk_sizes(trials):
-        failures += _mc_decode_failures(code, alpha, chunk, rng)
+    failures = sum(simulate(code, p, min(MC_CHUNK, trials - start), rng)
+                   for start in range(0, trials, MC_CHUNK))
     return FailureEstimate.from_counts(failures, trials)
-
-
-def _chunk_sizes(total: int, chunk: int = 1 << 16):
-    while total > 0:
-        yield min(total, chunk)
-        total -= chunk
 
 
 def _mc_decode_failures(code: LinearCode, alpha: float, trials: int,
                         rng: np.random.Generator) -> int:
-    """Simulate encode/erase/decode trials on packed words; count failures.
-
-    Equivalent to map_decode_generator per trial (same solve, same uniform
-    tie-break), with the sampling and the encoding done in bulk.
-    """
-    n, k = code.n, code.k
-    g_rows = code.g_rows_packed
-    messages = rng.integers(0, 2, (trials, k), dtype=np.uint8)
+    """Encode/erase/decode trials: messages and erasures are drawn in bulk,
+    then each trial is one call of the decode kernel."""
+    messages = rng.integers(0, 2, (trials, code.k), dtype=np.uint8)
     codewords = gf2.pack_rows((messages @ code.G.T.astype(np.int64)) % 2)
-    masks = gf2.pack_rows((rng.random((trials, n)) < alpha).astype(np.uint8))
-    msg_ints = gf2.pack_rows(messages)
-    full = (1 << n) - 1
-    failures = 0
-    for m_int, c_int, mask in zip(msg_ints, codewords, masks):
-        rows = []
-        rhs = 0
-        kept = ~mask & full
-        t = 0
-        while kept:
-            low = kept & -kept
-            i = low.bit_length() - 1
-            rows.append(g_rows[i])
-            if (c_int >> i) & 1:
-                rhs |= 1 << t
-            t += 1
-            kept ^= low
-        sol = gf2.solve_packed(rows, k, rhs)
-        estimate = sol.particular
-        if sol.basis:
-            combo = _random_bits(rng, len(sol.basis))
-            for idx, vec in enumerate(sol.basis):
-                if (combo >> idx) & 1:
-                    estimate ^= vec
-        if estimate != m_int:
-            failures += 1
-    return failures
+    erased = gf2.pack_rows((rng.random((trials, code.n)) < alpha).astype(np.uint8))
+    full = (1 << code.n) - 1
+    return sum(_decode_packed(code, full ^ mask, codeword, rng)[0] != message
+               for message, codeword, mask in zip(gf2.pack_rows(messages), codewords, erased))
 
 
 def _random_bits(rng: np.random.Generator, width: int) -> int:

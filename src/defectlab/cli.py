@@ -285,9 +285,8 @@ def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
 
 # -- commands ----------------------------------------------------------------------
 
-def _mc_duality_point(code_spec: str, side: str, prob: float, trials: int,
+def _mc_duality_point(code: codes.LinearCode, side: str, prob: float, trials: int,
                       seed: int, index: int) -> tuple[int, str, float, float, float, int]:
-    code = parse_code_spec(code_spec)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     if side == "bec":
         est = bec.failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
@@ -329,8 +328,8 @@ def cmd_duality(opts: Options) -> list[ResultRow]:
 
     tasks = []
     for i, (alpha, beta) in enumerate(zip(opts.alpha, opts.beta)):
-        tasks.append((opts.code_spec, "bec", alpha, opts.trials, opts.seed, 2 * i))
-        tasks.append((opts.code_spec, "bdc", beta, opts.trials, opts.seed, 2 * i + 1))
+        tasks.append((code, "bec", alpha, opts.trials, opts.seed, 2 * i))
+        tasks.append((code, "bdc", beta, opts.trials, opts.seed, 2 * i + 1))
     if opts.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=opts.workers) as pool:
             results = list(pool.map(_mc_duality_point, *zip(*tasks)))
@@ -473,20 +472,12 @@ def cmd_quaternity(opts: Options) -> list[ResultRow]:
                     wom_violations += 1
             elif new_state is not state:
                 wom_violations += 1
-        # rate bookkeeping: quantization rate = erasure capacity = defect-capacity complement
-        a = as_fraction(alpha)
-        beta = 1 - a
-        rate = 1 - a
-        identity_holds = rate == (1 - a) == (1 - (1 - beta))
         rows.append(ResultRow("quaternity", code.name, "beq", alpha, float(beq_violations),
                               0.0, 0.0, "", "", "ok" if not beq_violations else "violation",
                               opts.trials, opts.seed))
         rows.append(ResultRow("quaternity", code.name, "wom", alpha, float(wom_violations),
                               0.0, 0.0, "", "", "ok" if not wom_violations else "violation",
                               opts.trials, opts.seed))
-        rows.append(ResultRow("quaternity", code.name, "rates", alpha, float(rate),
-                              float(rate), float(rate), str(rate), "",
-                              "ok" if identity_holds else "violation", 0, opts.seed))
     if any(row.regime == "violation" for row in rows):
         raise InvariantViolation("reduction fuzzing found violations")
     return rows

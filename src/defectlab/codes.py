@@ -49,21 +49,13 @@ class LinearCode:
             raise ConstructionError("parity-check matrix is rank deficient")
         if np.any(gf2.mat_mul(H.T, G)):
             raise ConstructionError("H.T @ G != 0")
-        self.G = G
-        self.H = H
-        self.G.setflags(write=False)
-        self.H.setflags(write=False)
-        self.name = name or f"code({n},{k})"
-        self.cyclic = cyclic
-        self.generator_poly = generator_poly
+        G.setflags(write=False)
+        H.setflags(write=False)
+        vars(self).update(G=G, H=H, n=n, k=k, name=name or f"code({n},{k})", cyclic=cyclic,
+                          generator_poly=generator_poly)
 
-    @property
-    def n(self) -> int:
-        return self.G.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.G.shape[1]
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LinearCode is immutable; cannot set {name!r}")
 
     @property
     def rate(self) -> float:
@@ -128,6 +120,11 @@ class LinearCode:
         return gf2.pack_rows(self.H)
 
     @cached_property
+    def h_cols_packed(self) -> list[int]:
+        """The columns of H, which generate the masking code, as n-bit words."""
+        return gf2.pack_rows(self.H.T)
+
+    @cached_property
     def h_nullity_profile(self) -> tuple[tuple[int, ...], ...]:
         """N[e][j]: sets of e rows of H with nullity j, shared by both channels.
 
@@ -155,39 +152,41 @@ class LinearCode:
         """All 2^k codewords as packed integers, in Gray-walk order."""
         if self.k > cap:
             raise CapacityError(f"k={self.k} exceeds enumeration cap {cap}")
-        cols = gf2.pack_rows(self.G.T)
-        return _gray_combinations(cols, self.k)
+        return gray_combinations(gf2.pack_rows(self.G.T), self.k)
 
     def codewords(self, cap: int = ENUM_CAP):
         for word in self.codeword_ints(cap):
             yield gf2.unpack_vector(word, self.n)
 
     def weight_distribution(self, cap: int = ENUM_CAP) -> tuple[int, ...]:
-        """Exact codeword counts by weight, A_0 .. A_n."""
-        if getattr(self, "_wd", None) is None:
-            if self.k <= cap:
-                counts = [0] * (self.n + 1)
-                for word in self.codeword_ints(cap):
-                    counts[word.bit_count()] += 1
-                self._wd = tuple(counts)
-            elif self.n - self.k <= cap:
-                dual_counts = [0] * (self.n + 1)
-                for word in _gray_combinations(gf2.pack_rows(self.H.T), self.n - self.k):
-                    dual_counts[word.bit_count()] += 1
-                self._wd = macwilliams_transform(tuple(dual_counts), self.n, self.n - self.k)
-            else:
-                raise CapacityError(
-                    f"both k={self.k} and n-k={self.n - self.k} exceed enumeration cap {cap}")
-        return self._wd
+        """Exact codeword counts by weight, A_0 .. A_n.
+
+        Enumerates the smaller of the code and its dual (through the
+        MacWilliams transform), so it needs k <= cap or n-k <= cap.
+        """
+        if min(self.k, self.n - self.k) > cap:
+            raise CapacityError(
+                f"both k={self.k} and n-k={self.n - self.k} exceed enumeration cap {cap}")
+        return self._weight_distribution
+
+    @cached_property
+    def _weight_distribution(self) -> tuple[int, ...]:
+        if self.k <= self.n - self.k:
+            counts = [0] * (self.n + 1)
+            for word in self.codeword_ints(self.k):
+                counts[word.bit_count()] += 1
+            return tuple(counts)
+        dual_counts = [0] * (self.n + 1)
+        for word in gray_combinations(self.h_cols_packed, self.n - self.k):
+            dual_counts[word.bit_count()] += 1
+        return macwilliams_transform(tuple(dual_counts), self.n, self.n - self.k)
 
     def min_distance(self, cap: int = ENUM_CAP) -> int:
         """Smallest nonzero codeword weight."""
-        if getattr(self, "_dmin", None) is None:
-            if self.k == 0:
-                raise ValueError("the zero code has no nonzero codewords")
-            wd = self.weight_distribution(cap)
-            self._dmin = next(w for w in range(1, self.n + 1) if wd[w])
-        return self._dmin
+        if self.k == 0:
+            raise ValueError("the zero code has no nonzero codewords")
+        wd = self.weight_distribution(cap)
+        return next(w for w in range(1, self.n + 1) if wd[w])
 
     def dual(self) -> "LinearCode":
         """Swap the generator/parity-check roles."""
@@ -215,7 +214,9 @@ def _stack_columns(vectors, n: int) -> np.ndarray:
     return np.stack(vectors, axis=1)
 
 
-def _gray_combinations(generators: list[int], dim: int):
+def gray_combinations(generators: list[int], dim: int):
+    """All 2^dim sums of the first dim generators, in Gray-walk order: step i
+    adds generators[j] for each set bit j of i ^ (i >> 1)."""
     word = 0
     yield word
     for i in range(1, 1 << dim):
@@ -425,7 +426,7 @@ def reed_muller(r: int, m: int) -> LinearCode:
     return LinearCode(G, H, name=f"rm({r},{m})")
 
 
-def lrc_pyramid(n: int, groups: int) -> LinearCode:
+def lrc_pyramid(n: int, groups: int, *, name: str = "") -> LinearCode:
     """(n, n-groups) code with one even-weight parity constraint per group."""
     if groups < 1 or n % groups != 0 or n // groups < 2:
         raise ConstructionError(
@@ -434,16 +435,14 @@ def lrc_pyramid(n: int, groups: int) -> LinearCode:
     H = np.zeros((n, groups), dtype=np.uint8)
     for g in range(groups):
         H[g * size:(g + 1) * size, g] = 1
-    return LinearCode.from_parity(H, name=f"lrc_pyramid({n},{groups})")
+    return LinearCode.from_parity(H, name=name or f"lrc_pyramid({n},{groups})")
 
 
 def two_block(n: int) -> LinearCode:
     """Two even-weight groups of size n/2; the masking side of one extra parity bit."""
     if n % 2 or n < 4:
         raise ConstructionError(f"two_block requires even n >= 4, got {n}")
-    code = lrc_pyramid(n, 2)
-    code.name = f"two_block({n})"
-    return code
+    return lrc_pyramid(n, 2, name=f"two_block({n})")
 
 
 FAMILIES = {

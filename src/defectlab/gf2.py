@@ -2,13 +2,16 @@
 
 Vectors and matrices are numpy arrays with 0/1 entries.  Internally rows are
 packed into Python integers (bit j of a row word = column j), so a row XOR is
-one word-parallel big-int operation.  Elimination pivots on the first set bit
-of each row, scanning columns first to last.
+one word-parallel big-int operation.  `solve_packed` is the one elimination
+loop: solving, rank, reduced row echelon form and inversion all run through
+it.  It pivots on the first set bit of each row, scanning columns first to
+last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -63,88 +66,75 @@ def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.astype(np.int64) @ b.astype(np.int64)) % 2
 
 
-class _OnlineRref:
-    """Incrementally maintained reduced row echelon form of packed rows.
-
-    Rows are inserted one at a time; earlier rows take priority, so a row that
-    becomes dependent/contradictory never displaces one already kept.
-    """
-
-    __slots__ = ("pivots",)
-
-    def __init__(self) -> None:
-        self.pivots: dict[int, int] = {}  # pivot column -> fully reduced row
-
-    def reduce(self, row: int) -> int:
-        # Pivot rows are mutually reduced (set bits only at their own pivot
-        # plus free columns), so one pass clears every pivot bit of `row`.
-        for col, pivot_row in self.pivots.items():
-            if (row >> col) & 1:
-                row ^= pivot_row
-        return row
-
-    def insert_reduced(self, row: int, col: int) -> None:
-        for c, r in self.pivots.items():
-            if (r >> col) & 1:
-                self.pivots[c] = r ^ row
-        self.pivots[col] = row
-
-    def insert(self, row: int) -> int:
-        """Reduce and keep `row`. Returns its pivot column, or -1 if dependent."""
-        row = self.reduce(row)
-        if not row:
-            return -1
-        col = (row & -row).bit_length() - 1
-        self.insert_reduced(row, col)
-        return col
-
-
-@dataclass
 class PackedSolution:
     """Solution of a packed linear system, free variables forced to zero.
 
-    When the system is inconsistent, `particular` still solves the subsystem
-    of equations kept by priority order; `violated` lists the indices of the
-    dropped (unsatisfiable) equations.
+    `pivots` maps each pivot column to its fully reduced row, whose bit ncols
+    holds the right-hand side.  When the system is inconsistent, `particular`
+    still solves the subsystem of equations kept by priority order;
+    `violated` lists the indices of the dropped (unsatisfiable) equations.
+    `particular` and the free-variable `basis` are built on first access.
     """
 
-    consistent: bool
-    particular: int
-    basis: list[int]
-    violated: list[int]
-    rank: int
+    def __init__(self, pivots: dict[int, int], ncols: int, violated: list[int]) -> None:
+        self.pivots = pivots
+        self.ncols = ncols
+        self.violated = violated
+        self.consistent = not violated
+        self.rank = len(pivots)
+
+    @cached_property
+    def particular(self) -> int:
+        return sum(1 << col for col, row in self.pivots.items() if (row >> self.ncols) & 1)
+
+    @cached_property
+    def basis(self) -> list[int]:
+        basis = []
+        for free in range(self.ncols):
+            if free in self.pivots:
+                continue
+            vec = 1 << free
+            for col, row in self.pivots.items():
+                if (row >> free) & 1:
+                    vec |= 1 << col
+            basis.append(vec)
+        return basis
 
 
-def solve_packed(rows: Sequence[int], ncols: int, rhs: int) -> PackedSolution:
-    """Solve the packed system rows[i] . x = bit i of rhs over GF(2)."""
-    rref = _OnlineRref()
+def solve_packed(rows: Sequence[int], ncols: int, rhs: int,
+                 use: int | None = None) -> PackedSolution:
+    """Solve rows[i] . x = bit i of rhs over GF(2) for the rows i picked by the
+    set bits of `use` (every row by default).
+
+    Rows are taken in index order and kept in reduced row echelon form; a row
+    that contradicts the rows kept before it is dropped, never one of them.
+    """
+    if use is None:
+        use = (1 << len(rows)) - 1
     aug = 1 << ncols
+    pivots: dict[int, int] = {}
     violated: list[int] = []
-    for i, row in enumerate(rows):
-        word = rref.reduce(row | (aug if (rhs >> i) & 1 else 0))
+    while use:
+        low = use & -use
+        use ^= low
+        i = low.bit_length() - 1
+        word = rows[i] | aug if rhs & low else rows[i]
+        # Pivot rows are mutually reduced (set bits only at their own pivot
+        # plus free columns), so one pass clears every pivot bit of `word`.
+        for col, pivot_row in pivots.items():
+            if (word >> col) & 1:
+                word ^= pivot_row
         if not word:
             continue
         col = (word & -word).bit_length() - 1
         if col == ncols:
             violated.append(i)
-        else:
-            rref.insert_reduced(word, col)
-    pivots = rref.pivots
-    particular = 0
-    for col, row in pivots.items():
-        if (row >> ncols) & 1:
-            particular |= 1 << col
-    basis = []
-    if len(pivots) < ncols:
-        for free in range(ncols):
-            if free in pivots:
-                continue
-            vec = 1 << free
-            for col, row in pivots.items():
-                if (row >> free) & 1:
-                    vec |= 1 << col
-            basis.append(vec)
-    return PackedSolution(not violated, particular, basis, violated, len(pivots))
+            continue
+        for c, pivot_row in pivots.items():
+            if (pivot_row >> col) & 1:
+                pivots[c] = pivot_row ^ word
+        pivots[col] = word
+    return PackedSolution(pivots, ncols, violated)
 
 
 @dataclass
@@ -189,12 +179,17 @@ class SolutionSpace:
             yield x
 
 
+def precedes(a: int, b: int) -> bool:
+    """True when packed word a comes before b in lexicographic order, reading
+    column 0 first: at their first differing column, a holds the 0."""
+    diff = a ^ b
+    return bool(diff) and not a & diff & -diff
+
+
 def rank_packed(rows: Iterable[int]) -> int:
     """Rank over GF(2) of packed rows."""
-    rref = _OnlineRref()
-    for row in rows:
-        rref.insert(row)
-    return len(rref.pivots)
+    rows = list(rows)
+    return solve_packed(rows, max(rows, default=0).bit_length(), 0).rank
 
 
 def rank(m) -> int:
@@ -267,14 +262,12 @@ def nullspace(m) -> list[np.ndarray]:
 def rref_with_pivots(m) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form and its pivot columns, rows sorted by pivot."""
     m = as_bit_matrix(m)
-    rref = _OnlineRref()
-    for row in pack_rows(m):
-        rref.insert(row)
     cols = m.shape[1]
-    pivots = tuple(sorted(rref.pivots))
+    pivot_rows = solve_packed(pack_rows(m), cols, 0).pivots
+    pivots = tuple(sorted(pivot_rows))
     reduced = np.zeros((len(pivots), cols), dtype=np.uint8)
     for i, col in enumerate(pivots):
-        reduced[i] = unpack_vector(rref.pivots[col], cols)
+        reduced[i] = unpack_vector(pivot_rows[col], cols)
     return reduced, pivots
 
 
@@ -284,11 +277,13 @@ def invert(m) -> np.ndarray:
     n = m.shape[0]
     if m.shape[1] != n:
         raise ValueError("matrix must be square")
-    rref = _OnlineRref()
-    for i, row in enumerate(pack_rows(m)):
-        if rref.insert(row | (1 << (n + i))) >= n:
-            raise ValueError("matrix is singular")
+    # Row i carries bit n + i, so every row is kept and pivots stay below n
+    # exactly when m is invertible; the reduced rows then hold the inverse.
+    augmented = [row | (1 << (n + i)) for i, row in enumerate(pack_rows(m))]
+    pivots = solve_packed(augmented, 2 * n, 0).pivots
+    if any(col >= n for col in pivots):
+        raise ValueError("matrix is singular")
     inv = np.zeros((n, n), dtype=np.uint8)
-    for col, word in rref.pivots.items():
+    for col, word in pivots.items():
         inv[col] = unpack_vector(word >> n, n)
     return inv

@@ -8,12 +8,12 @@ masking word only drags a few neighbours along when it must be rewritten.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
 from . import bdc, gf2
-from .codes import ENUM_CAP, LinearCode
+from .codes import ENUM_CAP, LinearCode, gray_combinations
 from .errors import (CapacityError, ConstructionError, InvariantViolation, LocalityError,
                      MaskingError)
 
@@ -45,13 +45,7 @@ def masking_codeword_ints(code: LinearCode, cap: int = ENUM_CAP) -> list[int]:
     width = code.n - code.k
     if width > cap:
         raise CapacityError(f"n-k={width} exceeds enumeration cap {cap}")
-    cols = gf2.pack_rows(code.H.T)
-    words = [0]
-    word = 0
-    for i in range(1, 1 << width):
-        word ^= cols[(i & -i).bit_length() - 1]
-        words.append(word)
-    return words
+    return list(gray_combinations(code.h_cols_packed, width))
 
 
 def _coverage_weights(code: LinearCode, cap: int) -> list[int | None]:
@@ -95,9 +89,15 @@ def parity_locality(code: LinearCode, j: int, cap: int = ENUM_CAP) -> int:
     return _locality_at(code, j, cap)
 
 
-@lru_cache(maxsize=None)
+#: Profiles by code and cap; an entry lives only as long as its code.
+_PROFILES: WeakKeyDictionary[LinearCode, dict[int, LwcProfile]] = WeakKeyDictionary()
+
+
 def rewriting_locality(code: LinearCode, cap: int = ENUM_CAP) -> LwcProfile:
     """Full locality profile; the maximum is the code's rewriting locality."""
+    profiles = _PROFILES.setdefault(code, {})
+    if cap in profiles:
+        return profiles[cap]
     cover = _coverage_weights(code, cap)
     uncovered = [i for i, c in enumerate(cover) if c is None]
     if uncovered:
@@ -108,6 +108,7 @@ def rewriting_locality(code: LinearCode, cap: int = ENUM_CAP) -> LwcProfile:
     bound = singleton_like_bound(profile.n, profile.k, profile.r_star)
     if profile.d_star > bound:
         raise InvariantViolation(f"profile {profile} violates the distance bound {bound}")
+    profiles[cap] = profile
     return profile
 
 
@@ -148,23 +149,19 @@ def rewrite_update(code: LinearCode, stored, message, new_message,
     if bdc.error_count(stored, pattern):
         raise ValueError("stored word does not mask the stuck cell")
 
-    pins = [(int(i), int(pattern.s[i])) for i in pattern.defect_set]
+    pinned = gf2.pack_vector(pattern.s != bdc.NORMAL)
+    stuck = gf2.pack_vector(pattern.s == 1)
     base = gf2.pack_vector(code.embed(new_message))
     stored_int = gf2.pack_vector(stored)
     best = None
     best_cost = code.n + 1
     for word in masking_codeword_ints(code, cap):
         cand = base ^ word
-        if any((cand >> i) & 1 != v for i, v in pins):
+        if (cand ^ stuck) & pinned:
             continue
         cost = (cand ^ stored_int).bit_count()
-        if cost < best_cost:
+        if cost < best_cost or (cost == best_cost and gf2.precedes(cand, best)):
             best, best_cost = cand, cost
-        elif cost == best_cost and cand != best:
-            diff = cand ^ best
-            low = (diff & -diff).bit_length() - 1
-            if not (cand >> low) & 1:
-                best = cand
     if best is None:
         raise MaskingError("no word of the new message's coset matches the stuck cell")
     profile = rewriting_locality(code, cap)
@@ -182,10 +179,9 @@ def lwc_from_lrc(h_lrc) -> LinearCode:
     minimum distance and rewriting locality one less than the dual distance.
     """
     h_lrc = gf2.as_bit_matrix(h_lrc)
-    code = LinearCode.from_parity(h_lrc, name="lwc_from_lrc")
+    code = LinearCode.from_parity(h_lrc, name="lwc_from_lrc", cyclic=True)
     if not code.closed_under_shift():
         raise ConstructionError("parity-check matrix does not define a cyclic code")
-    code.cyclic = True
     return code
 
 

@@ -289,3 +289,18 @@ def test_masking_guarantee_below_distance():
 def test_exhaustive_cap_enforced():
     with pytest.raises(CapacityError):
         bdc.enc_failure_prob(codes.bch(5, 1), 0.1, "exhaustive")
+
+
+def test_repeated_defect_indices_are_rejected():
+    assert bdc.conditional_encfail_exact(codes.hamming(3), [2]) == 0
+    with pytest.raises(ValueError, match="repeated"):
+        bdc.conditional_encfail_exact(codes.hamming(3), [2, 2])
+
+
+def test_from_stuck_rejects_cells_outside_the_memory_and_bad_values():
+    for index in (-1, 8):
+        with pytest.raises(ValueError, match="outside"):
+            bdc.DefectPattern.from_stuck(8, {index: 1})
+    with pytest.raises(ValueError, match="not 0 or 1"):
+        bdc.DefectPattern.from_stuck(8, {3: bdc.NORMAL})
+    assert bdc.DefectPattern.from_stuck(8, {7: 1}).defect_set.tolist() == [7]

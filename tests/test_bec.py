@@ -255,3 +255,11 @@ def test_capacity():
     assert bec.capacity(0.1) == 0.9
     with pytest.raises(ValueError):
         bec.capacity(-0.2)
+
+
+def test_repeated_erasure_indices_are_rejected():
+    # One erasure never fails on a distance-3 code; a repeated index must not
+    # be counted as a second erasure.
+    assert bec.conditional_failure_exact(codes.hamming(3), [0]) == 0
+    with pytest.raises(ValueError, match="repeated"):
+        bec.conditional_failure_exact(codes.hamming(3), [0, 0])

@@ -278,3 +278,20 @@ def test_masking_error_exits_3(capsys, monkeypatch):
                    "--trials", "5"])
     assert rc == cli.EXIT_AUDIT
     assert capsys.readouterr().err.startswith("error: no word")
+
+
+def test_quaternity_rows_are_the_two_audits(capsys):
+    rc, out = run_cli(["quaternity", "--code", "two_block:8", "--alpha", "0.3,0.6",
+                       "--trials", "50", "--seed", "2"], capsys)
+    assert rc == 0
+    assert [r["side"] for r in parse_csv(out)] == ["beq", "wom", "beq", "wom"]
+
+
+def test_monte_carlo_duality_parses_the_code_once(capsys, monkeypatch):
+    calls = []
+    parse = cli.parse_code_spec
+    monkeypatch.setattr(cli, "parse_code_spec", lambda spec: calls.append(spec) or parse(spec))
+    rc, _ = run_cli(["duality", "--code", "hamming:3", "--alpha", "0.1,0.2,0.3",
+                     "--mode", "monte_carlo", "--trials", "100"], capsys)
+    assert rc == 0
+    assert calls == ["hamming:3"]

@@ -254,3 +254,25 @@ def test_save_and_load(tmp_path):
     code = codes.bch(4, 2)
     codes.save_code(code, path)
     assert codes.load_code(path).same_codewords(code)
+
+
+def test_built_codes_are_immutable():
+    code = codes.two_block(8)
+    assert code.name == "two_block(8)"
+    with pytest.raises(AttributeError, match="immutable"):
+        code.name = "renamed"
+    with pytest.raises(AttributeError, match="immutable"):
+        code.cyclic = True
+    with pytest.raises(ValueError):
+        code.G[0, 0] ^= 1
+    assert code.name == "two_block(8)" and not code.cyclic
+
+
+def test_cap_is_checked_on_every_call():
+    code = codes.hamming(3)
+    assert code.weight_distribution() == (1, 0, 0, 7, 7, 0, 0, 1)
+    assert code.min_distance() == 3
+    with pytest.raises(CapacityError, match="cap 1"):
+        code.weight_distribution(cap=1)
+    with pytest.raises(CapacityError, match="cap 1"):
+        code.min_distance(cap=1)

@@ -1,0 +1,168 @@
+"""The packed solve kernel and the channel kernels built on it.
+
+The Monte Carlo simulators draw their samples in bulk and then call the same
+per-trial kernels as the public decoder and encoder, so replaying the bulk
+draws through map_decode_generator and additive_encode must reproduce their
+failure counts and leave the random stream in the same state.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from defectlab import bdc, bec, codes, gf2
+
+PROPERTIES = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+ROSTER = [
+    (codes.hamming(3), 0.3),
+    (codes.bch(4, 2), 0.35),
+    (codes.two_block(8), 0.4),
+    (codes.reed_muller(1, 4), 0.45),
+    (codes.repetition(5), 0.5),
+    (codes.single_parity(6), 0.2),
+]
+
+#: (family, params, p, trials, seed, decoding failures, masking failures),
+#: recorded from the simulators as they stood before they shared the kernels.
+GOLDEN = [
+    ("hamming", (3,), 0.3, 2000, 0, 174, 192),
+    ("bch", (4, 2), 0.35, 2000, 1, 116, 122),
+    ("two_block", (8,), 0.4, 2000, 2, 1045, 1090),
+    ("reed_muller", (1, 4), 0.45, 2000, 3, 53, 52),
+    ("repetition", (5,), 0.5, 2000, 4, 30, 40),
+    ("single_parity", (6,), 0.2, 2000, 5, 425, 407),
+    ("hamming", (4,), 0.2, 2000, 6, 315, 307),
+    ("repetition", (3,), 0.5, 70000, 7, 4296, 4320),  # crosses a chunk boundary
+]
+
+
+def replay_decoding(code, alpha, trials, rng):
+    """_mc_decode_failures's draws, decoded one trial at a time by the public decoder."""
+    messages = rng.integers(0, 2, (trials, code.k), dtype=np.uint8)
+    erased = rng.random((trials, code.n)) < alpha
+    failures = 0
+    for message, mask in zip(messages, erased):
+        obs = bec.erase(gf2.mat_mul(code.G, message), np.flatnonzero(mask))
+        failures += not bec.map_decode_generator(code, obs, message, rng).success
+    return failures
+
+
+def replay_masking(code, beta, trials, rng):
+    """_mc_masking_failures's draws, encoded one trial at a time by the public encoder."""
+    messages = rng.integers(0, 2, (trials, code.k), dtype=np.uint8)
+    defects = rng.random((trials, code.n)) < beta
+    stuck = rng.integers(0, 2, (trials, code.n), dtype=np.uint8)
+    failures = 0
+    for message, mask, values in zip(messages, defects, stuck):
+        pattern = bdc.DefectPattern(np.where(mask, values.astype(np.int8), np.int8(bdc.NORMAL)))
+        failures += not bdc.additive_encode(code, message, pattern).success
+    return failures
+
+
+@pytest.mark.parametrize("code,p", ROSTER, ids=lambda x: getattr(x, "name", str(x)))
+def test_decoding_simulator_matches_the_public_decoder_trial_for_trial(code, p):
+    fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+    assert bec._mc_decode_failures(code, p, 300, fast) == replay_decoding(code, p, 300, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("code,p", ROSTER, ids=lambda x: getattr(x, "name", str(x)))
+def test_masking_simulator_matches_the_public_encoder_trial_for_trial(code, p):
+    fast, slow = np.random.default_rng(12), np.random.default_rng(12)
+    assert bdc._mc_masking_failures(code, p, 300, fast) == replay_masking(code, p, 300, slow)
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("family,params,p,trials,seed,decoding,masking", GOLDEN)
+def test_seeded_failure_counts_are_unchanged(family, params, p, trials, seed, decoding, masking):
+    code = getattr(codes, family)(*params)
+    assert bec.failure_prob(code, p, "monte_carlo", trials=trials, seed=seed).failures == decoding
+    assert bdc.enc_failure_prob(code, p, "monte_carlo", trials=trials, seed=seed).failures == masking
+
+
+def test_monte_carlo_rejects_bad_inputs_on_both_sides():
+    code = codes.hamming(3)
+    for estimate, name in ((bec.failure_prob, "alpha"), (bdc.enc_failure_prob, "beta")):
+        with pytest.raises(ValueError, match=name):
+            estimate(code, 1.5, "monte_carlo")
+        with pytest.raises(ValueError, match="mode"):
+            estimate(code, 0.1, "sampled")
+        with pytest.raises(ValueError, match="trials"):
+            estimate(code, 0.1, "monte_carlo", trials=0)
+
+
+@st.composite
+def masked_systems(draw):
+    """Up to 8 equations in up to 6 unknowns, a right-hand side, and a row mask."""
+    ncols = draw(st.integers(0, 6))
+    m = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=m, max_size=m))
+    rhs = draw(st.integers(0, (1 << m) - 1))
+    use = draw(st.integers(0, (1 << m) - 1))
+    return rows, ncols, rhs, use
+
+
+def parity(x):
+    return x.bit_count() & 1
+
+
+@PROPERTIES
+@given(masked_systems())
+def test_masked_solve_matches_brute_force(system):
+    rows, ncols, rhs, use = system
+    # Keep each picked equation, in index order, unless it contradicts those kept.
+    survivors = set(range(1 << ncols))
+    violated = []
+    for i, row in enumerate(rows):
+        if not (use >> i) & 1:
+            continue
+        agree = {x for x in survivors if parity(row & x) == (rhs >> i) & 1}
+        if agree:
+            survivors = agree
+        else:
+            violated.append(i)
+
+    sol = gf2.solve_packed(rows, ncols, rhs, use)
+    assert sol.consistent == (not violated)
+    assert sol.violated == violated
+    assert sol.particular in survivors
+    assert sol.rank + len(sol.basis) == ncols
+    span = {0}
+    for vec in sol.basis:
+        span |= {x ^ vec for x in span}
+    assert len(span) == 1 << len(sol.basis)
+    assert {sol.particular ^ x for x in span} == survivors
+
+
+def test_solve_without_a_mask_uses_every_row():
+    rows, rhs = [0b011, 0b110, 0b101], 0b011
+    full = gf2.solve_packed(rows, 3, rhs)
+    masked = gf2.solve_packed(rows, 3, rhs, 0b111)
+    assert (full.particular, full.violated, full.basis) == (masked.particular, masked.violated,
+                                                            masked.basis)
+
+
+def test_masked_rows_read_the_rhs_at_their_own_index():
+    # Only row 2 (x1 = bit 2 of rhs) is used; rhs bits of unused rows are ignored.
+    sol = gf2.solve_packed([0b01, 0b01, 0b10], 2, 0b100, 0b100)
+    assert sol.consistent and sol.particular == 0b10 and sol.basis == [0b01]
+
+
+def test_precedes_reads_column_zero_first():
+    assert gf2.precedes(0b10, 0b01)
+    assert not gf2.precedes(0b01, 0b10)
+    assert not gf2.precedes(0b11, 0b11)
+    assert gf2.precedes(0b0110, 0b0111)
+
+
+def test_gray_walk_step_i_sums_the_columns_of_i_xor_half_i():
+    cols = [0b0011, 0b0110, 0b1100, 0b1001]
+    for i, word in enumerate(codes.gray_combinations(cols, 4)):
+        picked = i ^ (i >> 1)
+        expected = 0
+        for j, col in enumerate(cols):
+            if (picked >> j) & 1:
+                expected ^= col
+        assert word == expected

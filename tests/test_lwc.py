@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -234,3 +236,18 @@ def test_every_profile_respects_the_bound():
                  codes.single_parity(5), codes.repetition(6), codes.lrc_pyramid(12, 3)]:
         p = lwc.rewriting_locality(code)
         assert p.d_star <= lwc.singleton_like_bound(p.n, p.k, p.r_star)
+
+
+def test_lwc_from_lrc_is_built_cyclic():
+    code = lwc.lwc_from_lrc(codes.hamming(3).H)
+    assert code.cyclic and code.name == "lwc_from_lrc"
+
+
+def test_locality_cache_lives_only_as_long_as_the_code():
+    code = codes.two_block(8)
+    profile = lwc.rewriting_locality(code)
+    assert lwc.rewriting_locality(code) is profile
+    ref = weakref.ref(code)
+    del code
+    gc.collect()
+    assert ref() is None
