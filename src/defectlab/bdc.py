@@ -51,10 +51,6 @@ class DefectPattern:
         return self.s.shape[0]
 
     @property
-    def normal_set(self) -> np.ndarray:
-        return np.flatnonzero(self.s == NORMAL)
-
-    @property
     def num_defects(self) -> int:
         return self.defect_set.size
 
@@ -144,13 +140,12 @@ def _mask_packed(code: LinearCode, defects: int, target: int) -> gf2.PackedSolut
     return gf2.solve_packed(code.h_rows_packed, code.n - code.k, target, defects)
 
 
-def mde_encode(code: LinearCode, message, pattern: DefectPattern,
-               cap: int = MDE_CAP) -> EncodeOutcome:
+def mde_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutcome:
     """Exhaustive error-minimizing encoder; ties go to the lexicographically
     smallest parity."""
     width = code.n - code.k
-    if width > cap:
-        raise CapacityError(f"n-k={width} exceeds the exhaustive parity cap {cap}")
+    if width > MDE_CAP:
+        raise CapacityError(f"n-k={width} exceeds the exhaustive parity cap {MDE_CAP}")
     message = _check_instance(code, message, pattern)
     base = code.embed(message)
     defects = gf2.pack_vector(pattern.s != NORMAL)

@@ -31,7 +31,6 @@ class BeqSource:
     """Source word over {0, 1, FREE}; FREE symbols cost nothing to quantize."""
 
     samples: np.ndarray
-    alpha: float = 0.0
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.int8)
@@ -65,7 +64,7 @@ def sample_source(n: int, alpha: float, rng: np.random.Generator) -> BeqSource:
         raise ValueError("alpha must lie in [0, 1]")
     erased = rng.random(n) < alpha
     values = rng.integers(0, 2, n).astype(np.int8)
-    return BeqSource(np.where(erased, np.int8(FREE), values), alpha)
+    return BeqSource(np.where(erased, np.int8(FREE), values))
 
 
 def beq_to_bdc(src: BeqSource) -> bdc.DefectPattern:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bdc, bec, bridge, codes, gf2, lwc
 from .errors import CapacityError, InvariantViolation, MaskingError
-from .stats import as_fraction
+from .stats import FailureEstimate, as_fraction
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,16 +61,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _point(experiment: str, code: str, side: str, param: float, value, exact: str = "",
+           bound: str = "", regime: str = "", trials: int = 0, *, seed: int) -> ResultRow:
+    """A row whose estimate is exact: its interval is the point itself."""
+    value = float(value)
+    return ResultRow(experiment, code, side, param, value, value, value, exact, bound, regime,
+                     trials, seed)
+
+
 def write_rows(rows: list[ResultRow], fmt: str, stream) -> None:
     if fmt == "csv":
         stream.write(CSV_HEADER + "\n")
         for row in rows:
             stream.write(",".join(_fmt(v) for v in asdict(row).values()) + "\n")
-    elif fmt == "jsonl":
+    else:
         for row in rows:
             stream.write(json.dumps(asdict(row), sort_keys=True) + "\n")
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
 
 
 # -- option parsing -------------------------------------------------------------
@@ -112,9 +118,12 @@ def parse_grid(text: str) -> list[float]:
             i += 1
         return out
     try:
-        return [float(t) for t in text.split(",") if t]
+        values = [float(t) for t in text.split(",") if t]
     except ValueError:
         raise ConfigError(f"bad parameter list {text!r}") from None
+    if not values:
+        raise ConfigError(f"empty parameter grid {text!r}")
+    return values
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -129,13 +138,17 @@ def read_config_file(path: str) -> dict[str, str]:
                 key, sep, value = line.partition("=")
                 if not sep:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                out[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in _DEFAULTS:
+                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     return out
 
 
-_DEFAULTS = {
+_DEFAULTS = {  # every config file key, with its default
+    "code": None,
     "alpha": "0.1",
     "beta": None,
     "trials": "10000",
@@ -144,6 +157,7 @@ _DEFAULTS = {
     "format": "csv",
     "out": None,
     "workers": "1",
+    "self_audit": None,
 }
 
 
@@ -286,13 +300,11 @@ def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
 # -- commands ----------------------------------------------------------------------
 
 def _mc_duality_point(code: codes.LinearCode, side: str, prob: float, trials: int,
-                      seed: int, index: int) -> tuple[int, str, float, float, float, int]:
+                      seed: int, index: int) -> FailureEstimate:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
     if side == "bec":
-        est = bec.failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
-    else:
-        est = bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
-    return index, side, est.value, est.ci_low, est.ci_high, est.failures
+        return bec.failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
+    return bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
 
 
 def cmd_duality(opts: Options) -> list[ResultRow]:
@@ -321,9 +333,8 @@ def cmd_duality(opts: Options) -> list[ResultRow]:
                 if audit_dec != p_dec or audit_enc != p_enc:
                     raise InvariantViolation("self-audit mismatch in exhaustive duality values")
             for side, prob, exact in (("bec", alpha, p_dec), ("bdc", beta, p_enc)):
-                v = float(exact)
-                rows.append(ResultRow("duality", code.name, side, prob, v, v, v,
-                                      str(exact), "", "exact", 0, opts.seed))
+                rows.append(_point("duality", code.name, side, prob, exact, str(exact),
+                                   regime="exact", seed=opts.seed))
         return rows
 
     tasks = []
@@ -331,14 +342,13 @@ def cmd_duality(opts: Options) -> list[ResultRow]:
         tasks.append((code, "bec", alpha, opts.trials, opts.seed, 2 * i))
         tasks.append((code, "bdc", beta, opts.trials, opts.seed, 2 * i + 1))
     if opts.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=opts.workers) as pool:
+        # Each worker is forked at the first submit, so start no more than there are points.
+        with concurrent.futures.ProcessPoolExecutor(min(opts.workers, len(tasks))) as pool:
             results = list(pool.map(_mc_duality_point, *zip(*tasks)))
     else:
         results = [_mc_duality_point(*task) for task in tasks]
-    results.sort(key=lambda r: r[0])
-    for (index, side, value, lo, hi, _), task in zip(results, tasks):
-        prob = task[2]
-        rows.append(ResultRow("duality", code.name, side, prob, value, lo, hi,
+    for est, (_, side, prob, *_) in zip(results, tasks):
+        rows.append(ResultRow("duality", code.name, side, prob, est.value, est.ci_low, est.ci_high,
                               "", "", "monte_carlo", opts.trials, opts.seed))
     return rows
 
@@ -367,10 +377,9 @@ def cmd_bounds(opts: Options) -> list[ResultRow]:
                         f"bound value {piece.value} disagrees with the pattern oracle {oracle} at e={e}")
                 if piece.regime == "upper" and piece.value < oracle:
                     raise InvariantViolation(f"upper bound fails to dominate the oracle at e={e}")
-            rows.append(ResultRow("bounds", code.name, side, float(e), estimate,
-                                  estimate, estimate,
-                                  str(oracle) if oracle is not None else "",
-                                  str(piece.value), piece.regime, 0, opts.seed))
+            rows.append(_point("bounds", code.name, side, float(e), estimate,
+                               str(oracle) if oracle is not None else "",
+                               str(piece.value), piece.regime, seed=opts.seed))
     return rows
 
 
@@ -403,43 +412,29 @@ def cmd_lwc_audit(opts: Options) -> list[ResultRow]:
     code = parse_code_spec(opts.code_spec)
     profile = lwc.rewriting_locality(code)
     bound = lwc.singleton_like_bound(profile.n, profile.k, profile.r_star)
-    rows = [ResultRow("lwc-audit", code.name, "profile", float(profile.r_star),
-                      float(profile.d_star), float(profile.d_star), float(profile.d_star),
-                      "", str(bound), "optimal" if profile.is_optimal else "suboptimal",
-                      0, opts.seed)]
+    rows = [_point("lwc-audit", code.name, "profile", float(profile.r_star), profile.d_star,
+                   "", str(bound), "optimal" if profile.is_optimal else "suboptimal",
+                   seed=opts.seed)]
     for i, r in enumerate(profile.per_coordinate):
-        rows.append(ResultRow("lwc-audit", code.name, "locality", float(i), float(r),
-                              float(r), float(r), "", "", "", 0, opts.seed))
+        rows.append(_point("lwc-audit", code.name, "locality", float(i), r, seed=opts.seed))
 
-    rewrite_stats: dict[int, list[int]] = {}
-    write_stats: dict[int, list[int]] = {}
-    count = 0
+    # Rewrite costs by message distance, first-write costs by message weight.
+    stats: dict[str, dict[int, list[int]]] = {"rewrite": {}, "write": {}}
     for old, new, pattern in _lwc_workload(code, opts):
         stored = bdc.additive_encode(code, old, pattern)
         if not stored.success:
             continue
-        count += 1
         _, report = lwc.rewrite_update(code, stored.codeword, old, new, pattern)
-        delta = int((old ^ new).sum())
-        rewrite_stats.setdefault(delta, []).append(report.rewrite_cost)
-        weight = int(old.sum())
-        write_stats.setdefault(weight, []).append(report.initial_cost)
-    for delta in sorted(rewrite_stats):
-        costs = rewrite_stats[delta]
-        cap = delta + profile.r_star - 1
-        worst = max(costs)
-        mean = Fraction(sum(costs), len(costs))
-        rows.append(ResultRow("lwc-audit", code.name, "rewrite", float(delta), float(worst),
-                              float(worst), float(worst), str(mean), str(cap),
-                              "ok" if worst <= cap else "violation", len(costs), opts.seed))
-    for weight in sorted(write_stats):
-        costs = write_stats[weight]
-        cap = weight + profile.r_star
-        worst = max(costs)
-        mean = Fraction(sum(costs), len(costs))
-        rows.append(ResultRow("lwc-audit", code.name, "write", float(weight), float(worst),
-                              float(worst), float(worst), str(mean), str(cap),
-                              "ok" if worst <= cap else "violation", len(costs), opts.seed))
+        stats["rewrite"].setdefault(int((old ^ new).sum()), []).append(report.rewrite_cost)
+        stats["write"].setdefault(int(old.sum()), []).append(report.initial_cost)
+    for side, slack in (("rewrite", profile.r_star - 1), ("write", profile.r_star)):
+        for key, costs in sorted(stats[side].items()):
+            cap = key + slack
+            worst = max(costs)
+            rows.append(_point("lwc-audit", code.name, side, float(key), worst,
+                               str(Fraction(sum(costs), len(costs))), str(cap),
+                               "ok" if worst <= cap else "violation", len(costs),
+                               seed=opts.seed))
     if any(row.regime == "violation" for row in rows):
         raise InvariantViolation("a cost bound was violated during the audit")
     return rows
@@ -472,12 +467,10 @@ def cmd_quaternity(opts: Options) -> list[ResultRow]:
                     wom_violations += 1
             elif new_state is not state:
                 wom_violations += 1
-        rows.append(ResultRow("quaternity", code.name, "beq", alpha, float(beq_violations),
-                              0.0, 0.0, "", "", "ok" if not beq_violations else "violation",
-                              opts.trials, opts.seed))
-        rows.append(ResultRow("quaternity", code.name, "wom", alpha, float(wom_violations),
-                              0.0, 0.0, "", "", "ok" if not wom_violations else "violation",
-                              opts.trials, opts.seed))
+        for side, violations in (("beq", beq_violations), ("wom", wom_violations)):
+            rows.append(ResultRow("quaternity", code.name, side, alpha, float(violations),
+                                  0.0, 0.0, "", "", "ok" if not violations else "violation",
+                                  opts.trials, opts.seed))
     if any(row.regime == "violation" for row in rows):
         raise InvariantViolation("reduction fuzzing found violations")
     return rows
@@ -486,14 +479,11 @@ def cmd_quaternity(opts: Options) -> list[ResultRow]:
 def cmd_code_info(opts: Options) -> list[ResultRow]:
     code = parse_code_spec(opts.code_spec)
     rows = [
-        ResultRow("code-info", code.name, "n", 0.0, float(code.n), float(code.n), float(code.n),
-                  "", "", "", 0, opts.seed),
-        ResultRow("code-info", code.name, "k", 0.0, float(code.k), float(code.k), float(code.k),
-                  "", "", "", 0, opts.seed),
-        ResultRow("code-info", code.name, "rate", 0.0, code.rate, code.rate, code.rate,
-                  str(Fraction(code.k, code.n)), "", "", 0, opts.seed),
-        ResultRow("code-info", code.name, "cyclic", 0.0, float(code.cyclic), float(code.cyclic),
-                  float(code.cyclic), "", "", "", 0, opts.seed),
+        _point("code-info", code.name, "n", 0.0, code.n, seed=opts.seed),
+        _point("code-info", code.name, "k", 0.0, code.k, seed=opts.seed),
+        _point("code-info", code.name, "rate", 0.0, code.rate, str(Fraction(code.k, code.n)),
+               seed=opts.seed),
+        _point("code-info", code.name, "cyclic", 0.0, code.cyclic, seed=opts.seed),
     ]
     try:
         d = code.min_distance()
@@ -501,12 +491,11 @@ def cmd_code_info(opts: Options) -> list[ResultRow]:
     except CapacityError as exc:
         print(f"note: d and weight rows omitted: {exc}", file=sys.stderr)
         return rows
-    rows.insert(2, ResultRow("code-info", code.name, "d", 0.0, float(d), float(d), float(d),
-                             "", "", "", 0, opts.seed))
+    rows.insert(2, _point("code-info", code.name, "d", 0.0, d, seed=opts.seed))
     for w, count in enumerate(wd):
         if count:
-            rows.append(ResultRow("code-info", code.name, "weight", float(w), float(count),
-                                  float(count), float(count), str(count), "", "", 0, opts.seed))
+            rows.append(_point("code-info", code.name, "weight", float(w), count, str(count),
+                               seed=opts.seed))
     return rows
 
 
@@ -536,8 +525,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     if opts.out:
-        with open(opts.out, "w", encoding="utf-8", newline="") as fh:
-            write_rows(rows, opts.fmt, fh)
+        try:
+            with open(opts.out, "w", encoding="utf-8", newline="") as fh:
+                write_rows(rows, opts.fmt, fh)
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         write_rows(rows, opts.fmt, sys.stdout)
     elapsed = time.perf_counter() - started

@@ -1,10 +1,11 @@
 """Binary linear block codes: construction and analysis.
 
 A code is stored column-major: the generator G is n x k (codeword = G @ m),
-the parity check H is n x (n-k) with H.T @ G = 0.  Cyclic families carry
-their generator polynomial as an integer bit mask (bit i = coefficient of
-x^i).  BCH generators come from cyclotomic cosets and minimal polynomials
-over GF(2^m), using the primitive polynomials tabulated below.
+the parity check H is n x (n-k) with H.T @ G = 0.  Cyclic families are
+built from a generator polynomial given as an integer bit mask (bit i =
+coefficient of x^i).  A BCH generator is the product of (x + alpha^j) over a
+union of cyclotomic cosets in GF(2^m), using the primitive polynomials
+tabulated below.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from . import gf2
 from .errors import CapacityError, ConstructionError, InvariantViolation
 
+#: Largest dimension that is enumerated word by word.
 ENUM_CAP = 24
 
 #: Primitive polynomial per extension degree m (bit i = coefficient of x^i).
@@ -34,13 +36,12 @@ PRIMITIVE_POLYS = {
 class LinearCode:
     """Immutable (n, k) binary linear code with cached analysis results."""
 
-    def __init__(self, G, H=None, *, name: str = "", cyclic: bool = False,
-                 generator_poly: int | None = None):
-        G = gf2.as_bit_matrix(G)
+    def __init__(self, G, H=None, *, name: str = "", cyclic: bool = False):
+        G = gf2.as_bit_matrix(G).copy()  # frozen below; the caller's array stays writable
         n, k = G.shape
         if H is None:
             H = _stack_columns(gf2.nullspace(G.T), n)
-        H = gf2.as_bit_matrix(H)
+        H = gf2.as_bit_matrix(H).copy()
         if H.shape != (n, n - k):
             raise ValueError(f"parity check must be {n}x{n - k}, got {H.shape}")
         if gf2.rank(G) != k:
@@ -51,8 +52,7 @@ class LinearCode:
             raise ConstructionError("H.T @ G != 0")
         G.setflags(write=False)
         H.setflags(write=False)
-        vars(self).update(G=G, H=H, n=n, k=k, name=name or f"code({n},{k})", cyclic=cyclic,
-                          generator_poly=generator_poly)
+        vars(self).update(G=G, H=H, n=n, k=k, name=name or f"code({n},{k})", cyclic=cyclic)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LinearCode is immutable; cannot set {name!r}")
@@ -65,10 +65,6 @@ class LinearCode:
         return f"LinearCode({self.n}, {self.k}, {self.name!r})"
 
     # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_generator(cls, G, **meta) -> "LinearCode":
-        return cls(G, **meta)
 
     @classmethod
     def from_parity(cls, H, **meta) -> "LinearCode":
@@ -148,32 +144,32 @@ class LinearCode:
 
     # -- enumeration ----------------------------------------------------------
 
-    def codeword_ints(self, cap: int = ENUM_CAP):
+    def codeword_ints(self):
         """All 2^k codewords as packed integers, in Gray-walk order."""
-        if self.k > cap:
-            raise CapacityError(f"k={self.k} exceeds enumeration cap {cap}")
+        if self.k > ENUM_CAP:
+            raise CapacityError(f"k={self.k} exceeds enumeration cap {ENUM_CAP}")
         return gray_combinations(gf2.pack_rows(self.G.T), self.k)
 
-    def codewords(self, cap: int = ENUM_CAP):
-        for word in self.codeword_ints(cap):
+    def codewords(self):
+        for word in self.codeword_ints():
             yield gf2.unpack_vector(word, self.n)
 
-    def weight_distribution(self, cap: int = ENUM_CAP) -> tuple[int, ...]:
+    def weight_distribution(self) -> tuple[int, ...]:
         """Exact codeword counts by weight, A_0 .. A_n.
 
         Enumerates the smaller of the code and its dual (through the
-        MacWilliams transform), so it needs k <= cap or n-k <= cap.
+        MacWilliams transform), so it needs k or n-k within ENUM_CAP.
         """
-        if min(self.k, self.n - self.k) > cap:
+        if min(self.k, self.n - self.k) > ENUM_CAP:
             raise CapacityError(
-                f"both k={self.k} and n-k={self.n - self.k} exceed enumeration cap {cap}")
+                f"both k={self.k} and n-k={self.n - self.k} exceed enumeration cap {ENUM_CAP}")
         return self._weight_distribution
 
     @cached_property
     def _weight_distribution(self) -> tuple[int, ...]:
         if self.k <= self.n - self.k:
             counts = [0] * (self.n + 1)
-            for word in self.codeword_ints(self.k):
+            for word in self.codeword_ints():
                 counts[word.bit_count()] += 1
             return tuple(counts)
         dual_counts = [0] * (self.n + 1)
@@ -181,21 +177,16 @@ class LinearCode:
             dual_counts[word.bit_count()] += 1
         return macwilliams_transform(tuple(dual_counts), self.n, self.n - self.k)
 
-    def min_distance(self, cap: int = ENUM_CAP) -> int:
+    def min_distance(self) -> int:
         """Smallest nonzero codeword weight."""
         if self.k == 0:
             raise ValueError("the zero code has no nonzero codewords")
-        wd = self.weight_distribution(cap)
+        wd = self.weight_distribution()
         return next(w for w in range(1, self.n + 1) if wd[w])
 
     def dual(self) -> "LinearCode":
         """Swap the generator/parity-check roles."""
-        gpoly = None
-        if self.generator_poly is not None:
-            quotient, _ = _poly_divmod(((1 << self.n) | 1), self.generator_poly)
-            gpoly = _poly_reciprocal(quotient, self.k)
-        return LinearCode(self.H, self.G, name=f"dual({self.name})",
-                          cyclic=self.cyclic, generator_poly=gpoly)
+        return LinearCode(self.H, self.G, name=f"dual({self.name})", cyclic=self.cyclic)
 
     def closed_under_shift(self) -> bool:
         """True when every cyclic shift of a codeword is again a codeword."""
@@ -256,15 +247,6 @@ def _poly_deg(p: int) -> int:
     return p.bit_length() - 1
 
 
-def _poly_mul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        low = b & -b
-        out ^= a << (low.bit_length() - 1)
-        b ^= low
-    return out
-
-
 def _poly_divmod(a: int, b: int) -> tuple[int, int]:
     if b == 0:
         raise ZeroDivisionError("polynomial division by zero")
@@ -285,7 +267,7 @@ def _poly_reciprocal(p: int, deg: int) -> int:
     return out
 
 
-# -- GF(2^m) tables and minimal polynomials ------------------------------------
+# -- GF(2^m) tables and root products -------------------------------------------
 
 def _gf2m_tables(m: int) -> tuple[list[int], list[int]]:
     prim = PRIMITIVE_POLYS[m]
@@ -311,24 +293,19 @@ def _cyclotomic_coset(s: int, n: int) -> tuple[int, ...]:
     return tuple(sorted(coset))
 
 
-def _minimal_polynomial(s: int, m: int, exp: list[int], log: list[int]) -> int:
-    """Minimal polynomial over GF(2) of alpha^s, alpha primitive in GF(2^m)."""
-    n = (1 << m) - 1
-    size_mask = n  # multiplicative order
+def _root_product(exponents, exp: list[int], log: list[int]) -> int:
+    """Product of (x + alpha^j) over the exponents j, alpha primitive in GF(2^m).
+    Its coefficients lie in GF(2) when the exponents form a union of cyclotomic cosets."""
+    order = len(exp)  # multiplicative order of alpha
     poly = [1]  # coefficients in GF(2^m), index = degree
-    for j in _cyclotomic_coset(s, n):
-        root = exp[j % size_mask]
-        # poly *= (x + root)
-        nxt = [0] * (len(poly) + 1)
-        for d, coeff in enumerate(poly):
-            nxt[d + 1] ^= coeff
-            if coeff:
-                nxt[d] ^= exp[(log[coeff] + log[root]) % size_mask] if root else 0
-        poly = nxt
+    for j in exponents:
+        # poly *= (x + alpha^j): shift up one degree, add alpha^j * poly
+        scaled = [exp[(log[c] + j) % order] if c else 0 for c in poly]
+        poly = [a ^ b for a, b in zip([0, *poly], [*scaled, 0])]
     out = 0
     for d, coeff in enumerate(poly):
         if coeff not in (0, 1):
-            raise InvariantViolation("minimal polynomial has coefficients outside GF(2)")
+            raise InvariantViolation("root product has coefficients outside GF(2)")
         if coeff:
             out |= 1 << d
     return out
@@ -356,8 +333,7 @@ def cyclic_code(n: int, generator_poly: int, *, name: str = "") -> LinearCode:
     H = np.zeros((n, n - k), dtype=np.uint8)
     for j in range(n - k):
         H[:, j] = gf2.unpack_vector(hstar << j, n)
-    return LinearCode(G, H, name=name or f"cyclic({n},{generator_poly:#b})",
-                      cyclic=True, generator_poly=generator_poly)
+    return LinearCode(G, H, name=name or f"cyclic({n},{generator_poly:#b})", cyclic=True)
 
 
 def hamming(m: int) -> LinearCode:
@@ -375,15 +351,8 @@ def bch(m: int, t: int) -> LinearCode:
     if t < 1:
         raise ConstructionError("t must be >= 1")
     n = (1 << m) - 1
-    exp, log = _gf2m_tables(m)
-    g = 1
-    seen = set()
-    for s in range(1, 2 * t + 1):
-        coset = _cyclotomic_coset(s, n)
-        if coset in seen:
-            continue
-        seen.add(coset)
-        g = _poly_mul(g, _minimal_polynomial(s, m, exp, log))
+    roots = set().union(*(_cyclotomic_coset(s, n) for s in range(1, 2 * t + 1)))
+    g = _root_product(sorted(roots), *_gf2m_tables(m))
     if _poly_deg(g) >= n:
         raise ConstructionError(f"bch({m},{t}) has no message bits")
     return cyclic_code(n, g, name=f"bch({m},{t})")

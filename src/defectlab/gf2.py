@@ -17,6 +17,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+#: Largest solution-space dimension that `SolutionSpace.solutions` enumerates.
+SOLUTION_CAP = 20
+
 
 def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1 values."""
@@ -63,7 +66,7 @@ def unpack_vector(x: int, n: int) -> np.ndarray:
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over GF(2)."""
-    return (a.astype(np.int64) @ b.astype(np.int64)) % 2
+    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
 
 
 class PackedSolution:
@@ -165,12 +168,12 @@ class SolutionSpace:
                     x ^= vec
         return x
 
-    def solutions(self, cap: int = 20) -> Iterator[np.ndarray]:
+    def solutions(self) -> Iterator[np.ndarray]:
         """Enumerate all solutions (2**dimension of them)."""
         if self.particular is None:
             return
-        if self.dimension > cap:
-            raise ValueError(f"solution space dimension {self.dimension} exceeds cap {cap}")
+        if self.dimension > SOLUTION_CAP:
+            raise ValueError(f"solution space dimension {self.dimension} exceeds cap {SOLUTION_CAP}")
         for mask in range(1 << self.dimension):
             x = self.particular.copy()
             for j, vec in enumerate(self.basis):

@@ -12,8 +12,8 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from . import bdc, gf2
-from .codes import ENUM_CAP, LinearCode, gray_combinations
+from . import bdc, codes, gf2
+from .codes import LinearCode, gray_combinations
 from .errors import (CapacityError, ConstructionError, InvariantViolation, LocalityError,
                      MaskingError)
 
@@ -40,18 +40,18 @@ class CostReport:
     bound: int
 
 
-def masking_codeword_ints(code: LinearCode, cap: int = ENUM_CAP) -> list[int]:
+def masking_codeword_ints(code: LinearCode) -> list[int]:
     """All 2^(n-k) masking words (column combinations of H) as packed ints."""
     width = code.n - code.k
-    if width > cap:
-        raise CapacityError(f"n-k={width} exceeds enumeration cap {cap}")
+    if width > codes.ENUM_CAP:
+        raise CapacityError(f"n-k={width} exceeds enumeration cap {codes.ENUM_CAP}")
     return list(gray_combinations(code.h_cols_packed, width))
 
 
-def _coverage_weights(code: LinearCode, cap: int) -> list[int | None]:
+def _coverage_weights(code: LinearCode) -> list[int | None]:
     """Per coordinate: weight of the lightest masking word covering it."""
     best: list[int | None] = [None] * code.n
-    for word in masking_codeword_ints(code, cap):
+    for word in masking_codeword_ints(code):
         if not word:
             continue
         weight = word.bit_count()
@@ -65,59 +65,57 @@ def _coverage_weights(code: LinearCode, cap: int) -> list[int | None]:
     return best
 
 
-def _locality_at(code: LinearCode, i: int, cap: int) -> int:
-    cover = _coverage_weights(code, cap)[i]
+def _locality_at(code: LinearCode, i: int) -> int:
+    cover = _coverage_weights(code)[i]
     if cover is None:
         raise LocalityError(
             f"coordinate {i} lies outside every masking word; a defect there cannot be compensated")
     return cover - 1
 
 
-def info_locality(code: LinearCode, i: int, cap: int = ENUM_CAP) -> int:
+def info_locality(code: LinearCode, i: int) -> int:
     """Cells to rewrite when updating the message bit at info coordinate i
     while that cell is stuck."""
     if i not in code.info_positions:
         raise ValueError(f"coordinate {i} is not an information position of {code.name}")
-    return _locality_at(code, i, cap)
+    return _locality_at(code, i)
 
 
-def parity_locality(code: LinearCode, j: int, cap: int = ENUM_CAP) -> int:
+def parity_locality(code: LinearCode, j: int) -> int:
     """Extra cells to write when storing one symbol against a stuck parity
     cell at coordinate j."""
     if j not in code.parity_positions:
         raise ValueError(f"coordinate {j} is not a parity position of {code.name}")
-    return _locality_at(code, j, cap)
+    return _locality_at(code, j)
 
 
-#: Profiles by code and cap; an entry lives only as long as its code.
-_PROFILES: WeakKeyDictionary[LinearCode, dict[int, LwcProfile]] = WeakKeyDictionary()
+#: Profiles by code; an entry lives only as long as its code.
+_PROFILES: WeakKeyDictionary[LinearCode, LwcProfile] = WeakKeyDictionary()
 
 
-def rewriting_locality(code: LinearCode, cap: int = ENUM_CAP) -> LwcProfile:
+def rewriting_locality(code: LinearCode) -> LwcProfile:
     """Full locality profile; the maximum is the code's rewriting locality."""
-    profiles = _PROFILES.setdefault(code, {})
-    if cap in profiles:
-        return profiles[cap]
-    cover = _coverage_weights(code, cap)
+    if code in _PROFILES:
+        return _PROFILES[code]
+    cover = _coverage_weights(code)
     uncovered = [i for i, c in enumerate(cover) if c is None]
     if uncovered:
         raise LocalityError(f"coordinates {uncovered} lie outside every masking word")
     per_coordinate = tuple(c - 1 for c in cover)
-    d_star = code.min_distance(cap=max(cap, ENUM_CAP))
+    d_star = code.min_distance()
     profile = LwcProfile(code.n, code.k, d_star, max(per_coordinate), per_coordinate)
     bound = singleton_like_bound(profile.n, profile.k, profile.r_star)
     if profile.d_star > bound:
         raise InvariantViolation(f"profile {profile} violates the distance bound {bound}")
-    profiles[cap] = profile
+    _PROFILES[code] = profile
     return profile
 
 
-def cyclic_locality(code: LinearCode, cap: int = ENUM_CAP) -> int:
+def cyclic_locality(code: LinearCode) -> int:
     """For a cyclic masking code the locality is its minimum distance minus one."""
     if not code.cyclic:
         raise ValueError("rewriting locality shortcut requires a cyclic code")
-    d0 = code.dual().min_distance(cap)
-    return d0 - 1
+    return code.dual().min_distance() - 1
 
 
 def initial_writing_cost(codeword, pattern: bdc.DefectPattern) -> int:
@@ -131,8 +129,7 @@ def initial_writing_cost(codeword, pattern: bdc.DefectPattern) -> int:
 
 
 def rewrite_update(code: LinearCode, stored, message, new_message,
-                   pattern: bdc.DefectPattern,
-                   cap: int = ENUM_CAP) -> tuple[np.ndarray, CostReport]:
+                   pattern: bdc.DefectPattern) -> tuple[np.ndarray, CostReport]:
     """Re-encode an update, flipping as few cells as possible.
 
     Requires at most one stuck cell, and that `stored` encodes `message` and
@@ -155,7 +152,7 @@ def rewrite_update(code: LinearCode, stored, message, new_message,
     stored_int = gf2.pack_vector(stored)
     best = None
     best_cost = code.n + 1
-    for word in masking_codeword_ints(code, cap):
+    for word in masking_codeword_ints(code):
         cand = base ^ word
         if (cand ^ stuck) & pinned:
             continue
@@ -164,7 +161,7 @@ def rewrite_update(code: LinearCode, stored, message, new_message,
             best, best_cost = cand, cost
     if best is None:
         raise MaskingError("no word of the new message's coset matches the stuck cell")
-    profile = rewriting_locality(code, cap)
+    profile = rewriting_locality(code)
     delta = int((message ^ new_message).sum())
     report = CostReport(initial_cost=initial_writing_cost(stored, pattern),
                         rewrite_cost=best_cost,

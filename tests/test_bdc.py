@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from defectlab import bdc, bec, codes, gf2
+from defectlab import bdc, bec, bridge, codes, gf2
 from defectlab.errors import CapacityError
 
 
@@ -158,10 +158,11 @@ def test_mde_finds_global_minimum():
         assert out.residual_errors == best
 
 
-def test_mde_cap():
+def test_mde_cap(monkeypatch):
+    monkeypatch.setattr(bdc, "MDE_CAP", 2)
     with pytest.raises(CapacityError):
         bdc.mde_encode(codes.hamming(3), np.zeros(4, dtype=np.uint8),
-                       bdc.DefectPattern.all_normal(7), cap=2)
+                       bdc.DefectPattern.all_normal(7))
 
 
 def test_binning_success_set_matches_additive_exhaustively():
@@ -304,3 +305,16 @@ def test_from_stuck_rejects_cells_outside_the_memory_and_bad_values():
     with pytest.raises(ValueError, match="not 0 or 1"):
         bdc.DefectPattern.from_stuck(8, {3: bdc.NORMAL})
     assert bdc.DefectPattern.from_stuck(8, {7: 1}).defect_set.tolist() == [7]
+
+
+def test_results_are_uint8():
+    code = codes.two_block(8)
+    message = np.array([1, 0, 1, 1, 0, 1], dtype=np.uint8)
+    pattern = bdc.DefectPattern.from_stuck(8, {0: 1, 5: 0})
+    for encode in (bdc.additive_encode, bdc.mde_encode, bdc.binning_encode):
+        out = encode(code, message, pattern)
+        assert out.codeword.dtype == out.parity.dtype == np.uint8
+        assert bdc.decode(code, out.codeword).dtype == np.uint8
+    word, _ = bridge.quantize(code, bridge.BeqSource(pattern.s))
+    assert word.dtype == np.uint8
+    assert gf2.mat_mul(code.H.T, code.G).dtype == np.uint8

@@ -295,3 +295,54 @@ def test_monte_carlo_duality_parses_the_code_once(capsys, monkeypatch):
                      "--mode", "monte_carlo", "--trials", "100"], capsys)
     assert rc == 0
     assert calls == ["hamming:3"]
+
+
+def test_unwritable_output_path_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing_dir" / "x.csv"
+    rc = cli.main(["code-info", "--code", "hamming:3", "--out", str(missing)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert err.startswith("error: ") and "x.csv" in err and "Traceback" not in err
+
+
+def test_empty_grid_is_rejected(capsys):
+    rc, out = run_cli(["duality", "--code", "hamming:3", "--alpha", ""], capsys)
+    assert rc == cli.EXIT_CONFIG and out == ""
+    with pytest.raises(cli.ConfigError, match="empty"):
+        cli.parse_grid(",")
+
+
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("code = hamming:3\ntrails = 5\n")
+    rc = cli.main(["duality", "--config", str(cfg), "--mode", "monte_carlo"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith("error: ") and "'trails'" in captured.err
+
+
+def test_pool_never_exceeds_the_points(capsys, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Records the pool size and runs the points in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    args = ["duality", "--code", "hamming:3", "--alpha", "0.1", "--mode", "monte_carlo",
+            "--trials", "500", "--seed", "2"]
+    rc1, serial = run_cli(args, capsys)
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    rc2, pooled = run_cli(args + ["--workers", "64"], capsys)
+    assert rc1 == rc2 == 0 and pooled == serial
+    assert sizes == [2]  # one bec and one bdc point

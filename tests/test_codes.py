@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -156,18 +157,20 @@ def test_two_block_not_cyclic():
     assert not codes.two_block(8).closed_under_shift()
 
 
-def test_enumeration_cap_is_named():
+def test_enumeration_cap_is_named(monkeypatch):
     code = codes.reed_muller(2, 5)  # k = 16
+    monkeypatch.setattr(codes, "ENUM_CAP", 10)
     with pytest.raises(CapacityError, match="cap 10"):
-        code.weight_distribution(cap=10)
+        code.weight_distribution()
 
 
-def test_weight_distribution_via_dual_route():
-    # The dual of bch(4,2) has k=8; a cap of 7 forces the transform route
-    # through the n-k=7 primal enumeration.
+def test_weight_distribution_via_dual_route(monkeypatch):
+    # The dual of bch(4,2) has k=8 > n-k=7, so it enumerates its own dual (the
+    # n-k=7 side) and applies the transform; a cap of 7 rules out the k=8 side.
     direct = codes.bch(4, 2).weight_distribution()
     dual = codes.bch(4, 2).dual()
-    assert dual.weight_distribution(cap=7) == codes.macwilliams_transform(direct, 15, 7)
+    monkeypatch.setattr(codes, "ENUM_CAP", 7)
+    assert dual.weight_distribution() == codes.macwilliams_transform(direct, 15, 7)
 
 
 def test_invalid_families_rejected():
@@ -268,11 +271,36 @@ def test_built_codes_are_immutable():
     assert code.name == "two_block(8)" and not code.cyclic
 
 
-def test_cap_is_checked_on_every_call():
+def test_cap_is_checked_on_every_call(monkeypatch):
     code = codes.hamming(3)
     assert code.weight_distribution() == (1, 0, 0, 7, 7, 0, 0, 1)
     assert code.min_distance() == 3
+    monkeypatch.setattr(codes, "ENUM_CAP", 1)
     with pytest.raises(CapacityError, match="cap 1"):
-        code.weight_distribution(cap=1)
+        code.weight_distribution()
     with pytest.raises(CapacityError, match="cap 1"):
-        code.min_distance(cap=1)
+        code.min_distance()
+
+
+def test_constructor_leaves_the_callers_arrays_writable():
+    H = codes.hamming(3).H.copy()
+    G = codes.LinearCode.from_parity(H).G.copy()
+    codes.LinearCode(G)
+    assert H.flags.writeable and G.flags.writeable
+    H[0, 0] ^= 1  # the caller may still edit its own array
+
+
+def test_bch_golden_digest():
+    # Recorded from the per-coset minimal-polynomial construction: every bch(m, t)
+    # with m <= 8 keeps its name, G and H, or its error message.
+    digest = hashlib.sha256()
+    for m in sorted(codes.PRIMITIVE_POLYS):
+        for t in range(1, (1 << m) - 1):
+            digest.update(f"{m},{t};".encode())
+            try:
+                code = codes.bch(m, t)
+            except ConstructionError as exc:
+                digest.update(str(exc).encode())
+            else:
+                digest.update(f"{code.name};{code.k};".encode() + code.G.tobytes() + code.H.tobytes())
+    assert digest.hexdigest() == "23ebfa5de036cb47ccb5dd7083ac6df704a78b481f5e9df61479a14477aba3fc"

@@ -182,3 +182,11 @@ def test_rref_pivot_columns_are_identity():
         # row space is preserved
         stacked = np.vstack([m, reduced])
         assert gf2.rank(stacked) == len(pivots)
+
+
+def test_solution_cap_is_read_on_every_call(monkeypatch):
+    space = gf2.solve(np.zeros((1, 3), dtype=np.uint8), [0])
+    assert len(list(space.solutions())) == 8
+    monkeypatch.setattr(gf2, "SOLUTION_CAP", 2)
+    with pytest.raises(ValueError, match="dimension 3 exceeds cap 2"):
+        list(space.solutions())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from defectlab import bdc, codes, gf2, lwc
-from defectlab.errors import ConstructionError, LocalityError
+from defectlab.errors import CapacityError, ConstructionError, LocalityError
 
 
 def locality_oracle(code, i):
@@ -251,3 +251,11 @@ def test_locality_cache_lives_only_as_long_as_the_code():
     del code
     gc.collect()
     assert ref() is None
+
+
+def test_masking_words_read_the_enumeration_cap(monkeypatch):
+    code = codes.bch(4, 2)  # n-k = 8
+    assert len(lwc.masking_codeword_ints(code)) == 256
+    monkeypatch.setattr(codes, "ENUM_CAP", 7)
+    with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap 7"):
+        lwc.masking_codeword_ints(code)
