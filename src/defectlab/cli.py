@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -29,7 +30,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_AUDIT = 3
 
-AUDIT_CAP = 12
+AUDIT_CAP = 12  # blocklength of the decoding self-audit
+MASKING_AUDIT_CAP = 10  # blocklength of the masking self-audit
+LWC_AUDIT_CAP = 1 << 24  # message pairs x patterns of an exhaustive lwc-audit
 
 
 class ConfigError(ValueError):
@@ -61,12 +64,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _point(experiment: str, code: str, side: str, param: float, value, exact: str = "",
-           bound: str = "", regime: str = "", trials: int = 0, *, seed: int) -> ResultRow:
-    """A row whose estimate is exact: its interval is the point itself."""
-    value = float(value)
-    return ResultRow(experiment, code, side, param, value, value, value, exact, bound, regime,
-                     trials, seed)
+def _row(opts: argparse.Namespace, side: str, param, estimate, exact: str = "", bound: str = "",
+         regime: str = "", trials: int = 0, ci: tuple[float, float] | None = None) -> ResultRow:
+    """A row stamped with the run's verb, code and seed.  Without `ci` the
+    estimate is exact: its interval is the point itself."""
+    estimate = float(estimate)
+    ci_low, ci_high = ci or (estimate, estimate)
+    return ResultRow(opts.command, opts.code.name, side, float(param), estimate, ci_low, ci_high,
+                     exact, bound, regime, trials, opts.seed)
 
 
 def write_rows(rows: list[ResultRow], fmt: str, stream) -> None:
@@ -83,7 +88,7 @@ def write_rows(rows: list[ResultRow], fmt: str, stream) -> None:
 
 def parse_code_spec(spec: str) -> codes.LinearCode:
     if not spec:
-        raise ConfigError("--code is required")
+        raise ConfigError("a code spec is required (--code or config file)")
     head, _, tail = spec.partition(":")
     if head == "file":
         try:
@@ -99,8 +104,6 @@ def parse_code_spec(spec: str) -> codes.LinearCode:
 
 def parse_grid(text: str) -> list[float]:
     """Grid syntax: single value, comma list, or lo:hi:step (inclusive)."""
-    if text is None:
-        raise ConfigError("missing parameter grid")
     if ":" in text:
         try:
             lo, hi, step = (float(t) for t in text.split(":"))
@@ -126,6 +129,46 @@ def parse_grid(text: str) -> list[float]:
     return values
 
 
+def _probabilities(text: str) -> list[float]:
+    grid = parse_grid(text)
+    if any(not 0 <= v <= 1 for v in grid):
+        raise ValueError(f"values must lie in [0, 1], got {text!r}")
+    return grid
+
+
+def _positive(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {value}")
+    return value
+
+
+def _one_of(*allowed: str):
+    def parse(text: str) -> str:
+        if text not in allowed:
+            raise ValueError(f"expected {' or '.join(allowed)}, got {text!r}")
+        return text
+    return parse
+
+
+# Every option, as a flag and as a config-file key: help, default text, and the
+# parser that both the flag's and the file's text go through.
+OPTIONS = {
+    "code": ("family:params (e.g. bch:4,2) or file:PATH", "",
+             lambda text: parse_code_spec(text)),
+    "alpha": ("erasure probability grid (lo:hi:step, list, or value)", "0.1", _probabilities),
+    "beta": ("defect probability grid; defaults to alpha", None, _probabilities),
+    "trials": ("Monte Carlo trials per point", "10000", _positive),
+    "seed": ("base seed; fully determines Monte Carlo output", "0", int),
+    "mode": ("exhaustive or monte_carlo", "exhaustive", _one_of("exhaustive", "monte_carlo")),
+    "format": ("csv or jsonl", "csv", _one_of("csv", "jsonl")),
+    "out": ("output path (default stdout)", None, str),
+    "workers": ("process pool size for Monte Carlo points", "1", _positive),
+    "self_audit": ("recompute exact values through an independent route", "false",
+                   lambda text: _one_of("true", "false")(text) == "true"),
+}
+
+
 def read_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` lines; blank lines and # comments are ignored."""
     out = {}
@@ -139,26 +182,12 @@ def read_config_file(path: str) -> dict[str, str]:
                 if not sep:
                     raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
                 key = key.strip().replace("-", "_")
-                if key not in _DEFAULTS:
+                if key not in OPTIONS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 out[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     return out
-
-
-_DEFAULTS = {  # every config file key, with its default
-    "code": None,
-    "alpha": "0.1",
-    "beta": None,
-    "trials": "10000",
-    "seed": "0",
-    "mode": "exhaustive",
-    "format": "csv",
-    "out": None,
-    "workers": "1",
-    "self_audit": None,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,83 +203,28 @@ def build_parser() -> argparse.ArgumentParser:
         ("code-info", "dimensions, distance, and weight distribution of a code"),
     ]:
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--code", help="family:params (e.g. bch:4,2) or file:PATH")
-        cmd.add_argument("--alpha", help="erasure probability grid (lo:hi:step, list, or value)")
-        cmd.add_argument("--beta", help="defect probability grid; defaults to alpha")
-        cmd.add_argument("--trials", help="Monte Carlo trials per point")
-        cmd.add_argument("--seed", help="base seed; fully determines Monte Carlo output")
-        cmd.add_argument("--mode", choices=["exhaustive", "monte_carlo"], help="computation mode")
         cmd.add_argument("--config", help="flat key = value config file (flags win)")
-        cmd.add_argument("--out", help="output path (default stdout)")
-        cmd.add_argument("--format", choices=["csv", "jsonl"], help="output format")
-        cmd.add_argument("--workers", help="process pool size for Monte Carlo points")
-        cmd.add_argument("--self-audit", action="store_true", dest="self_audit",
-                         help="recompute exact values through an independent route")
+        for key, (help_text, _, _) in OPTIONS.items():
+            switch = {"action": "store_const", "const": "true"} if key == "self_audit" else {}
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text, **switch)
     return parser
 
 
-@dataclass
-class Options:
-    command: str
-    code_spec: str
-    alpha: list[float]
-    beta: list[float]
-    trials: int
-    seed: int
-    mode: str
-    fmt: str
-    out: str | None
-    workers: int
-    self_audit: bool
-
-
-def resolve_options(args: argparse.Namespace) -> Options:
+def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option's text comes from its flag, else the config file, else its
+    default, and goes through its parser; `beta` falls back to `alpha`."""
     file_cfg = read_config_file(args.config) if args.config else {}
-
-    def pick(key):
-        cli = getattr(args, key, None)
-        if cli is not None:
-            return cli
-        if key in file_cfg:
-            return file_cfg[key]
-        return _DEFAULTS.get(key)
-
-    code_spec = pick("code")
-    if not code_spec:
-        raise ConfigError("--code is required (flag or config file)")
-    alpha = parse_grid(pick("alpha"))
-    beta_raw = pick("beta")
-    beta = parse_grid(beta_raw) if beta_raw else list(alpha)
-    try:
-        trials = int(pick("trials"))
-        seed = int(pick("seed"))
-        workers = int(pick("workers"))
-    except ValueError as exc:
-        raise ConfigError(f"bad integer option: {exc}") from None
-    if trials <= 0 or workers <= 0:
-        raise ConfigError("trials and workers must be positive")
-    for grid, label in ((alpha, "alpha"), (beta, "beta")):
-        if any(not 0 <= v <= 1 for v in grid):
-            raise ConfigError(f"{label} values must lie in [0, 1]")
-    mode = pick("mode")
-    if mode not in ("exhaustive", "monte_carlo"):
-        raise ConfigError(f"mode must be exhaustive or monte_carlo, got {mode!r}")
-    fmt = pick("format")
-    if fmt not in ("csv", "jsonl"):
-        raise ConfigError(f"format must be csv or jsonl, got {fmt!r}")
-    return Options(
-        command=args.command,
-        code_spec=code_spec,
-        alpha=alpha,
-        beta=beta,
-        trials=trials,
-        seed=seed,
-        mode=mode,
-        fmt=fmt,
-        out=pick("out"),
-        workers=workers,
-        self_audit=bool(args.self_audit or file_cfg.get("self_audit") == "true"),
-    )
+    opts = argparse.Namespace(command=args.command)
+    for key, (_, default, parse) in OPTIONS.items():
+        text = getattr(args, key)
+        if text is None:
+            text = file_cfg.get(key, default)
+        try:
+            setattr(opts, key, None if text is None else parse(text))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    opts.beta = opts.beta or opts.alpha
+    return opts
 
 
 # -- independent audit oracles ----------------------------------------------------
@@ -258,7 +232,7 @@ def resolve_options(args: argparse.Namespace) -> Options:
 def _audit_decode_failure(code: codes.LinearCode, alpha: Fraction) -> Fraction:
     """Recompute P(decoding failure) through the generator-side rank route."""
     if code.n > AUDIT_CAP:
-        raise ConfigError(f"--self-audit is capped at n <= {AUDIT_CAP}")
+        raise ConfigError(f"--self-audit is capped at n <= AUDIT_CAP = {AUDIT_CAP}")
     n = code.n
     g_rows = code.g_rows_packed
     total = Fraction(0)
@@ -277,8 +251,9 @@ def _audit_decode_failure(code: codes.LinearCode, alpha: Fraction) -> Fraction:
 def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
     """Recompute P(masking failure) by running the coset encoder on every
     pattern and stuck assignment."""
-    if code.n > 10:
-        raise ConfigError("--self-audit on the defect side is capped at n <= 10")
+    if code.n > MASKING_AUDIT_CAP:
+        raise ConfigError("--self-audit on the defect side is capped at "
+                          f"n <= MASKING_AUDIT_CAP = {MASKING_AUDIT_CAP}")
     n = code.n
     message = np.zeros(code.k, dtype=np.uint8)
     total = Fraction(0)
@@ -307,8 +282,8 @@ def _mc_duality_point(code: codes.LinearCode, side: str, prob: float, trials: in
     return bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
 
 
-def cmd_duality(opts: Options) -> list[ResultRow]:
-    code = parse_code_spec(opts.code_spec)
+def cmd_duality(opts: argparse.Namespace) -> list[ResultRow]:
+    code = opts.code
     if len(opts.beta) != len(opts.alpha):
         raise ConfigError("alpha and beta grids must have the same length")
     rows: list[ResultRow] = []
@@ -333,8 +308,7 @@ def cmd_duality(opts: Options) -> list[ResultRow]:
                 if audit_dec != p_dec or audit_enc != p_enc:
                     raise InvariantViolation("self-audit mismatch in exhaustive duality values")
             for side, prob, exact in (("bec", alpha, p_dec), ("bdc", beta, p_enc)):
-                rows.append(_point("duality", code.name, side, prob, exact, str(exact),
-                                   regime="exact", seed=opts.seed))
+                rows.append(_row(opts, side, prob, exact, str(exact), regime="exact"))
         return rows
 
     tasks = []
@@ -348,13 +322,13 @@ def cmd_duality(opts: Options) -> list[ResultRow]:
     else:
         results = [_mc_duality_point(*task) for task in tasks]
     for est, (_, side, prob, *_) in zip(results, tasks):
-        rows.append(ResultRow("duality", code.name, side, prob, est.value, est.ci_low, est.ci_high,
-                              "", "", "monte_carlo", opts.trials, opts.seed))
+        rows.append(_row(opts, side, prob, est.value, regime="monte_carlo", trials=opts.trials,
+                         ci=(est.ci_low, est.ci_high)))
     return rows
 
 
-def cmd_bounds(opts: Options) -> list[ResultRow]:
-    code = parse_code_spec(opts.code_spec)
+def cmd_bounds(opts: argparse.Namespace) -> list[ResultRow]:
+    code = opts.code
     wd = code.weight_distribution()
     d = code.min_distance()
     # The oracle is the per-size average of H's nullity profile, the same
@@ -377,22 +351,22 @@ def cmd_bounds(opts: Options) -> list[ResultRow]:
                         f"bound value {piece.value} disagrees with the pattern oracle {oracle} at e={e}")
                 if piece.regime == "upper" and piece.value < oracle:
                     raise InvariantViolation(f"upper bound fails to dominate the oracle at e={e}")
-            rows.append(_point("bounds", code.name, side, float(e), estimate,
-                               str(oracle) if oracle is not None else "",
-                               str(piece.value), piece.regime, seed=opts.seed))
+            rows.append(_row(opts, side, e, estimate, str(oracle) if oracle is not None else "",
+                             str(piece.value), piece.regime))
     return rows
 
 
-def _lwc_workload(code, opts):
+def _lwc_workload(opts: argparse.Namespace):
     """(message, new_message, pattern) triples, exhaustive or sampled."""
-    n, k = code.n, code.k
+    n, k = opts.code.n, opts.code.k
     patterns = [bdc.DefectPattern.all_normal(n)] + [
         bdc.DefectPattern.from_stuck(n, {i: v}) for i in range(n) for v in (0, 1)
     ]
     if opts.mode == "exhaustive":
-        if (1 << (2 * k)) * len(patterns) > 1 << 24:
+        if (1 << (2 * k)) * len(patterns) > LWC_AUDIT_CAP:
             raise ConfigError(
-                f"exhaustive audit of 2^{2 * k} message pairs is too large; use --mode monte_carlo")
+                f"exhaustive audit of 2^{2 * k} message pairs x {len(patterns)} patterns exceeds "
+                f"LWC_AUDIT_CAP = {LWC_AUDIT_CAP}; use --mode monte_carlo")
         for old_bits in itertools.product([0, 1], repeat=k):
             old = np.array(old_bits, dtype=np.uint8)
             for new_bits in itertools.product([0, 1], repeat=k):
@@ -408,19 +382,18 @@ def _lwc_workload(code, opts):
             yield old, new, pattern
 
 
-def cmd_lwc_audit(opts: Options) -> list[ResultRow]:
-    code = parse_code_spec(opts.code_spec)
+def cmd_lwc_audit(opts: argparse.Namespace) -> list[ResultRow]:
+    code = opts.code
     profile = lwc.rewriting_locality(code)
     bound = lwc.singleton_like_bound(profile.n, profile.k, profile.r_star)
-    rows = [_point("lwc-audit", code.name, "profile", float(profile.r_star), profile.d_star,
-                   "", str(bound), "optimal" if profile.is_optimal else "suboptimal",
-                   seed=opts.seed)]
+    rows = [_row(opts, "profile", profile.r_star, profile.d_star, "", str(bound),
+                 "optimal" if profile.is_optimal else "suboptimal")]
     for i, r in enumerate(profile.per_coordinate):
-        rows.append(_point("lwc-audit", code.name, "locality", float(i), r, seed=opts.seed))
+        rows.append(_row(opts, "locality", i, r))
 
     # Rewrite costs by message distance, first-write costs by message weight.
     stats: dict[str, dict[int, list[int]]] = {"rewrite": {}, "write": {}}
-    for old, new, pattern in _lwc_workload(code, opts):
+    for old, new, pattern in _lwc_workload(opts):
         stored = bdc.additive_encode(code, old, pattern)
         if not stored.success:
             continue
@@ -431,17 +404,15 @@ def cmd_lwc_audit(opts: Options) -> list[ResultRow]:
         for key, costs in sorted(stats[side].items()):
             cap = key + slack
             worst = max(costs)
-            rows.append(_point("lwc-audit", code.name, side, float(key), worst,
-                               str(Fraction(sum(costs), len(costs))), str(cap),
-                               "ok" if worst <= cap else "violation", len(costs),
-                               seed=opts.seed))
+            rows.append(_row(opts, side, key, worst, str(Fraction(sum(costs), len(costs))),
+                             str(cap), "ok" if worst <= cap else "violation", len(costs)))
     if any(row.regime == "violation" for row in rows):
         raise InvariantViolation("a cost bound was violated during the audit")
     return rows
 
 
-def cmd_quaternity(opts: Options) -> list[ResultRow]:
-    code = parse_code_spec(opts.code_spec)
+def cmd_quaternity(opts: argparse.Namespace) -> list[ResultRow]:
+    code = opts.code
     rows = []
     for point, alpha in enumerate(opts.alpha):
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(point,)))
@@ -468,34 +439,26 @@ def cmd_quaternity(opts: Options) -> list[ResultRow]:
             elif new_state is not state:
                 wom_violations += 1
         for side, violations in (("beq", beq_violations), ("wom", wom_violations)):
-            rows.append(ResultRow("quaternity", code.name, side, alpha, float(violations),
-                                  0.0, 0.0, "", "", "ok" if not violations else "violation",
-                                  opts.trials, opts.seed))
+            rows.append(_row(opts, side, alpha, violations,
+                             regime="ok" if not violations else "violation", trials=opts.trials))
     if any(row.regime == "violation" for row in rows):
         raise InvariantViolation("reduction fuzzing found violations")
     return rows
 
 
-def cmd_code_info(opts: Options) -> list[ResultRow]:
-    code = parse_code_spec(opts.code_spec)
-    rows = [
-        _point("code-info", code.name, "n", 0.0, code.n, seed=opts.seed),
-        _point("code-info", code.name, "k", 0.0, code.k, seed=opts.seed),
-        _point("code-info", code.name, "rate", 0.0, code.rate, str(Fraction(code.k, code.n)),
-               seed=opts.seed),
-        _point("code-info", code.name, "cyclic", 0.0, code.cyclic, seed=opts.seed),
-    ]
+def cmd_code_info(opts: argparse.Namespace) -> list[ResultRow]:
+    code = opts.code
+    rows = [_row(opts, "n", 0, code.n), _row(opts, "k", 0, code.k),
+            _row(opts, "rate", 0, code.rate, str(Fraction(code.k, code.n))),
+            _row(opts, "cyclic", 0, code.cyclic)]
     try:
         d = code.min_distance()
         wd = code.weight_distribution()
     except CapacityError as exc:
         print(f"note: d and weight rows omitted: {exc}", file=sys.stderr)
         return rows
-    rows.insert(2, _point("code-info", code.name, "d", 0.0, d, seed=opts.seed))
-    for w, count in enumerate(wd):
-        if count:
-            rows.append(_point("code-info", code.name, "weight", float(w), count, str(count),
-                               seed=opts.seed))
+    rows.insert(2, _row(opts, "d", 0, d))
+    rows += [_row(opts, "weight", w, count, str(count)) for w, count in enumerate(wd) if count]
     return rows
 
 
@@ -509,8 +472,7 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         opts = resolve_options(args)
@@ -524,15 +486,18 @@ def main(argv: list[str] | None = None) -> int:
     except MaskingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AUDIT
-    if opts.out:
-        try:
+    try:
+        if opts.out:
             with open(opts.out, "w", encoding="utf-8", newline="") as fh:
-                write_rows(rows, opts.fmt, fh)
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        write_rows(rows, opts.fmt, sys.stdout)
+                write_rows(rows, opts.format, fh)
+        else:
+            write_rows(rows, opts.format, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not opts.out:  # the interpreter flushes stdout again at exit: point it at devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     elapsed = time.perf_counter() - started
     print(f"# {args.command} rows={len(rows)} wall_time_s={elapsed:.3f}", file=sys.stderr)
     return EXIT_OK

@@ -95,7 +95,7 @@ _PROFILES: WeakKeyDictionary[LinearCode, LwcProfile] = WeakKeyDictionary()
 
 def rewriting_locality(code: LinearCode) -> LwcProfile:
     """Full locality profile; the maximum is the code's rewriting locality."""
-    if code in _PROFILES:
+    if code in _PROFILES and code.n - code.k <= codes.ENUM_CAP:  # else recompute: the cap raises
         return _PROFILES[code]
     cover = _coverage_weights(code)
     uncovered = [i for i, c in enumerate(cover) if c is None]

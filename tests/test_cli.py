@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -346,3 +347,93 @@ def test_pool_never_exceeds_the_points(capsys, monkeypatch):
     rc2, pooled = run_cli(args + ["--workers", "64"], capsys)
     assert rc1 == rc2 == 0 and pooled == serial
     assert sizes == [2]  # one bec and one bdc point
+
+
+def test_closed_stdout_exits_2_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "defectlab", "bounds", "--code", "hamming:3"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    err = proc.stderr.decode()
+    assert proc.returncode == cli.EXIT_CONFIG
+    assert err.startswith("error: cannot write output: ")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_masking_audit_cap_is_read_on_every_call(monkeypatch):
+    code = codes.hamming(3)
+    assert cli._audit_masking_failure(code, Fraction(1, 10)) == Fraction(118569, 32000000)
+    monkeypatch.setattr(cli, "MASKING_AUDIT_CAP", 6)
+    with pytest.raises(cli.ConfigError, match="MASKING_AUDIT_CAP = 6"):
+        cli._audit_masking_failure(code, Fraction(1, 10))
+
+
+def test_lwc_audit_cap_is_named(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LWC_AUDIT_CAP", 1000)
+    rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "exhaustive"])
+    assert rc == cli.EXIT_CONFIG
+    assert "LWC_AUDIT_CAP = 1000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, args, cfg", [
+    ("beta", ["--beta", ""], ""),
+    ("beta", [], "beta =\n"),
+    ("self_audit", [], "self_audit = yes\n"),
+    ("mode", [], "mode = bogus\n"),
+    ("mode", ["--mode", "bogus"], ""),
+])
+def test_bad_option_value_is_named(tmp_path, capsys, key, args, cfg):
+    path = tmp_path / "run.cfg"
+    path.write_text("code = hamming:3\nalpha = 0.1\n" + cfg)
+    rc = cli.main(["duality", "--config", str(path), *args])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CONFIG and captured.out == ""
+    assert captured.err.startswith(f"error: {key}: ")
+
+
+@pytest.mark.parametrize("value, audits", [("true", 1), ("false", 0)])
+def test_self_audit_in_a_config_file(tmp_path, capsys, monkeypatch, value, audits):
+    calls = []
+    audit = cli._audit_decode_failure
+    monkeypatch.setattr(cli, "_audit_decode_failure",
+                        lambda code, alpha: calls.append(alpha) or audit(code, alpha))
+    path = tmp_path / "run.cfg"
+    path.write_text(f"code = hamming:3\nalpha = 0.1\nself_audit = {value}\n")
+    rc, _ = run_cli(["duality", "--config", str(path)], capsys)
+    assert rc == cli.EXIT_OK
+    assert len(calls) == audits
+
+
+# Per option: the config-file text, the flag arguments that must win over it,
+# and the value they resolve to.
+FLAG_OVER_FILE = {
+    "code": ("hamming:3", ["--code", "two_block:8"], "two_block(8)"),
+    "alpha": ("0.1", ["--alpha", "0.2,0.3"], [0.2, 0.3]),
+    "beta": ("0.1", ["--beta", "0.05:0.1:0.05"], [0.05, 0.1]),
+    "trials": ("10", ["--trials", "20"], 20),
+    "seed": ("1", ["--seed", "2"], 2),
+    "mode": ("exhaustive", ["--mode", "monte_carlo"], "monte_carlo"),
+    "format": ("csv", ["--format", "jsonl"], "jsonl"),
+    "out": ("file.csv", ["--out", "flag.csv"], "flag.csv"),
+    "workers": ("1", ["--workers", "2"], 2),
+    "self_audit": ("false", ["--self-audit"], True),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli.OPTIONS))
+def test_flag_wins_over_the_config_file(tmp_path, key):
+    file_text, flag_args, expected = FLAG_OVER_FILE[key]
+    path = tmp_path / "run.cfg"
+    path.write_text(("" if key == "code" else "code = hamming:3\n") + f"{key} = {file_text}\n")
+    from_file = cli.resolve_options(cli.build_parser().parse_args(
+        ["duality", "--config", str(path)]))
+    from_flag = cli.resolve_options(cli.build_parser().parse_args(
+        ["duality", "--config", str(path), *flag_args]))
+    resolved = [getattr(opts, key) for opts in (from_file, from_flag)]
+    if key == "code":
+        resolved = [code.name for code in resolved]
+    assert resolved[0] != expected and resolved[1] == expected

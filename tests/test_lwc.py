@@ -259,3 +259,11 @@ def test_masking_words_read_the_enumeration_cap(monkeypatch):
     monkeypatch.setattr(codes, "ENUM_CAP", 7)
     with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap 7"):
         lwc.masking_codeword_ints(code)
+
+
+def test_cached_profile_still_reads_the_enumeration_cap(monkeypatch):
+    code = codes.bch(4, 2)  # n-k = 8
+    assert lwc.rewriting_locality(code).r_star == 3  # now cached
+    monkeypatch.setattr(codes, "ENUM_CAP", 7)
+    with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap 7"):
+        lwc.rewriting_locality(code)
