@@ -25,13 +25,6 @@ NORMAL = -1
 MDE_CAP = 20
 
 
-def capacity(beta: float) -> float:
-    """Channel capacity at defect probability beta (state known to the encoder)."""
-    if not 0 <= beta <= 1:
-        raise ValueError("beta must lie in [0, 1]")
-    return 1.0 - beta
-
-
 @dataclass
 class DefectPattern:
     """Memory state: -1 marks a normal cell, 0/1 a stuck-at value."""
@@ -39,11 +32,7 @@ class DefectPattern:
     s: np.ndarray
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=np.int8)
-        if self.s.ndim != 1:
-            raise ValueError("state must be a vector")
-        if self.s.size and (self.s.min() < -1 or self.s.max() > 1):
-            raise ValueError("entries must be 0, 1, or NORMAL (-1)")
+        self.s = gf2.as_ternary_vector(self.s, "NORMAL")
         self.defect_set = np.flatnonzero(self.s != NORMAL)
 
     @property

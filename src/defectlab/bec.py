@@ -27,7 +27,12 @@ MC_CHUNK = 1 << 16
 
 
 def capacity(alpha: float) -> float:
-    """Channel capacity at erasure probability alpha."""
+    """Channel capacity at erasure probability alpha.
+
+    The same 1 - p is the capacity of the defect channel at defect
+    probability p (stuck cells known to the encoder) and the zero-distortion
+    rate of erasure quantization at erasure fraction p.
+    """
     if not 0 <= alpha <= 1:
         raise ValueError("alpha must lie in [0, 1]")
     return 1.0 - alpha
@@ -40,11 +45,7 @@ class ErasureObservation:
     y: np.ndarray
 
     def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.int8)
-        if self.y.ndim != 1:
-            raise ValueError("observation must be a vector")
-        if self.y.size and (self.y.min() < -1 or self.y.max() > 1):
-            raise ValueError("entries must be 0, 1, or ERASED (-1)")
+        self.y = gf2.as_ternary_vector(self.y, "ERASED")
 
     @property
     def n(self) -> int:
@@ -157,20 +158,32 @@ def failure_numerators(code: LinearCode) -> list[int]:
 
     A pattern E fails with probability 1 - 2^-j on both channels, j being the
     nullity of H's rows on E, so the sums are read off the code's nullity
-    profile.
+    profile, once it has passed `_check_profile`.
     """
     _check_exhaustive_cap(code)
-    return [_numerator(enumerate(row), code.n) for row in code.h_nullity_profile]
+    profile = code.h_nullity_profile
+    _check_profile(profile, code.weight_distribution())
+    return [_numerator(enumerate(row), code.n) for row in profile]
 
 
-def generator_failure_numerators(code: LinearCode) -> list[int]:
-    """failure_numerators by the generator route that map_decode_generator
-    solves: erasing E leaves k - rank(G on the kept set) message bits free."""
-    _check_exhaustive_cap(code)
-    n, k = code.n, code.k
-    kept = gf2.nullity_profile(code.g_rows_packed, k)
-    return [_numerator(((k - (n - e) + j, count) for j, count in enumerate(kept[n - e])), n)
-            for e in range(n + 1)]
+def _check_profile(profile, wd) -> None:
+    """Check a nullity profile N[e][j] against the weight distribution A_w.
+
+    The 2^j dependent subsets of a pattern of nullity j are the codewords
+    supported inside it, so for every size e (Greene's identity)
+        sum_j N[e][j] = C(n, e)  and  sum_j N[e][j] 2^j = sum_w A_w C(n-w, e-w).
+    The weight distribution walks no subsets, so this route is independent of
+    the profile's.  It misses changes that keep both sums, which only the
+    per-pattern routes of --self-audit see.
+    """
+    n = len(wd) - 1
+    for e, row in enumerate(profile):
+        got = (sum(row), sum(count << j for j, count in enumerate(row)))
+        want = (comb(n, e), sum(wd[w] * comb(n - w, e - w) for w in range(e + 1)))
+        if got != want:
+            raise InvariantViolation(
+                f"nullity profile disagrees with the weight distribution at e={e}: "
+                f"(patterns, supported codewords) = {got} from the profile, {want} from A_w")
 
 
 def _numerator(nullity_counts, n: int) -> int:

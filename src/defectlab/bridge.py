@@ -19,13 +19,6 @@ from .errors import InvariantViolation
 FREE = -1
 
 
-def beq_rate(alpha: float) -> float:
-    """Zero-distortion quantization rate for erasure fraction alpha."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    return 1.0 - alpha
-
-
 @dataclass
 class BeqSource:
     """Source word over {0, 1, FREE}; FREE symbols cost nothing to quantize."""
@@ -33,11 +26,7 @@ class BeqSource:
     samples: np.ndarray
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.int8)
-        if self.samples.ndim != 1:
-            raise ValueError("source must be a vector")
-        if self.samples.size and (self.samples.min() < -1 or self.samples.max() > 1):
-            raise ValueError("entries must be 0, 1, or FREE (-1)")
+        self.samples = gf2.as_ternary_vector(self.samples, "FREE")
 
     @property
     def n(self) -> int:

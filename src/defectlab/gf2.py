@@ -33,6 +33,17 @@ def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     return a
 
 
+def as_ternary_vector(v, blank: str) -> np.ndarray:
+    """Coerce to a 1-D int8 array over {0, 1, -1}; `blank` names the -1 symbol
+    in the error message."""
+    a = np.asarray(v, dtype=np.int8)
+    if a.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {a.shape}")
+    if a.size and (a.min() < -1 or a.max() > 1):
+        raise ValueError(f"entries must be 0, 1, or {blank} (-1)")
+    return a
+
+
 def as_bit_matrix(m) -> np.ndarray:
     """Coerce to a 2-D uint8 array of 0/1 values."""
     a = np.asarray(m, dtype=np.uint8)

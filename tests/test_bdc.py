@@ -304,6 +304,8 @@ def test_from_stuck_rejects_cells_outside_the_memory_and_bad_values():
             bdc.DefectPattern.from_stuck(8, {index: 1})
     with pytest.raises(ValueError, match="not 0 or 1"):
         bdc.DefectPattern.from_stuck(8, {3: bdc.NORMAL})
+    with pytest.raises(ValueError, match="NORMAL"):
+        bdc.DefectPattern([0, bdc.NORMAL, -2])
     assert bdc.DefectPattern.from_stuck(8, {7: 1}).defect_set.tolist() == [7]
 
 

@@ -51,6 +51,8 @@ def test_erase_single_position():
 def test_erase_rejects_out_of_range():
     with pytest.raises(ValueError):
         bec.erase([1, 0], [5])
+    with pytest.raises(ValueError, match="ERASED"):
+        bec.ErasureObservation([1, 2, bec.ERASED])
 
 
 def test_sample_erasures_extremes():
@@ -252,6 +254,11 @@ def test_monte_carlo_is_seed_deterministic():
 
 
 def test_capacity():
+    # One capacity serves the erasure channel, the defect channel and the
+    # zero-distortion erasure quantizer: 1 - p at pattern probability p.
+    for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
+        assert bec.capacity(alpha) == 1 - alpha
+        assert bec.capacity(alpha) == pytest.approx(1 - bec.capacity(1 - alpha))
     assert bec.capacity(0.1) == 0.9
     with pytest.raises(ValueError):
         bec.capacity(-0.2)

@@ -25,6 +25,8 @@ def test_determined_symbols_become_stuck():
     src = bridge.BeqSource(np.array([0, 1, bridge.FREE], dtype=np.int8))
     pattern = bridge.beq_to_bdc(src)
     assert list(pattern.s) == [0, 1, bdc.NORMAL]
+    with pytest.raises(ValueError, match="FREE"):
+        bridge.BeqSource([0, 3, bridge.FREE])
 
 
 def test_sample_source_rate_within_3_sigma():
@@ -74,10 +76,15 @@ def test_zero_distortion_exactly_when_codebook_matches():
 
 
 def test_rate_bookkeeping_identity():
+    # A source erased at fraction alpha maps to defects at beta = 1 - alpha;
+    # its zero-distortion rate is 1 - alpha, one minus the capacity at beta.
+    n = 20
     for alpha in (0.0, 0.25, 0.5, 0.9, 1.0):
-        beta = 1 - alpha
-        assert bridge.beq_rate(alpha) == bec.capacity(alpha)
-        assert bridge.beq_rate(alpha) == pytest.approx(1 - bdc.capacity(beta))
+        erased = round(alpha * n)
+        src = bridge.BeqSource([bridge.FREE] * erased + [1] * (n - erased))
+        beta = bridge.beq_to_bdc(src).num_defects / n
+        assert beta == pytest.approx(1 - alpha)
+        assert bec.capacity(alpha) == pytest.approx(1 - bec.capacity(beta))
 
 
 def test_wom_state_maps_ones_to_stuck():

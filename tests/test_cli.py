@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from defectlab import cli, codes
+from defectlab import cli, codes, gf2
+from defectlab.errors import InvariantViolation
 
 
 def run_cli(args, capsys):
@@ -216,25 +217,77 @@ def test_code_info_keeps_weight_rows(capsys):
     assert weights == {0.0: "1", 3.0: "7", 4.0: "7", 7.0: "1"}
 
 
-def test_duality_checks_against_the_generator_route(capsys, monkeypatch):
-    """A corrupted H-side profile moves both channels alike; only the
-    generator-side route catches it."""
+def shift_profile_row(monkeypatch, e, shift):
+    """Add `shift` entrywise to row e of every code's H-side nullity profile."""
     real = codes.LinearCode.h_nullity_profile.func
 
     def corrupted(self):
         profile = [list(row) for row in real(self)]
-        profile[3][0] -= 1  # one independent triple recounted as dependent
-        profile[3][1] += 1
+        for j, delta in enumerate(shift):
+            profile[e][j] += delta
         return tuple(map(tuple, profile))
 
     monkeypatch.setattr(codes.LinearCode, "h_nullity_profile", property(corrupted))
+
+
+def test_duality_checks_against_the_generator_route(capsys, monkeypatch):
+    """A corrupted H-side profile moves both channels alike; the weight
+    distribution, which enumerates codewords rather than subsets, catches it."""
+    shift_profile_row(monkeypatch, 3, (-1, 1))  # one independent triple recounted as dependent
     code = codes.hamming(3)
-    assert (cli.bec.failure_prob(code, "0.1").exact
-            == cli.bdc.enc_failure_prob(code, "0.1").exact
-            != Fraction(118569, 32000000))
+    with pytest.raises(InvariantViolation):
+        cli.bec.failure_prob(code, "0.1")
+    with pytest.raises(InvariantViolation):
+        cli.bdc.enc_failure_prob(code, "0.1")
     rc = cli.main(["duality", "--code", "hamming:3", "--alpha", "0.1", "--mode", "exhaustive"])
     assert rc == cli.EXIT_AUDIT
-    assert "generator-side route" in capsys.readouterr().err
+    assert "disagrees with the weight distribution at e=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["duality", "--alpha", "0.1", "--beta", "0.2"], ["bounds"]])
+def test_every_exhaustive_value_checks_the_profile(capsys, monkeypatch, args):
+    shift_profile_row(monkeypatch, 3, (-1, 1))
+    rc = cli.main([*args, "--code", "hamming:3"])
+    assert rc == cli.EXIT_AUDIT
+    assert "disagrees with the weight distribution at e=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("w", [0, 1, 4, 7])
+def test_weight_distribution_off_by_one_exits_3(capsys, monkeypatch, w):
+    real = codes.LinearCode.weight_distribution
+
+    def off_by_one(self):
+        wd = list(real(self))
+        wd[w] += 1
+        return tuple(wd)
+
+    monkeypatch.setattr(codes.LinearCode, "weight_distribution", off_by_one)
+    rc = cli.main(["duality", "--code", "hamming:3", "--alpha", "0.1"])
+    assert rc == cli.EXIT_AUDIT
+    assert f"disagrees with the weight distribution at e={w}" in capsys.readouterr().err
+
+
+def test_self_audit_sees_what_the_profile_check_cannot(capsys, monkeypatch):
+    """Moving hamming(3)'s N[3] from (28, 7, 0, 0) to (30, 4, 1, 0) keeps both
+    sums the weight distribution fixes: 35 patterns, and 28 + 7*2 = 30 + 4*2
+    + 1*4 = 42 codewords supported inside them.  It still changes the failure
+    numerator, 7*1*2^6 against 4*1*2^6 + 1*3*2^5, so the profile check passes
+    it and only the per-pattern routes of --self-audit see it."""
+    shift_profile_row(monkeypatch, 3, (2, -3, 1))
+    args = ["duality", "--code", "hamming:3", "--alpha", "0.1"]
+    assert cli.main(args) == cli.EXIT_OK
+    assert cli.main(args + ["--self-audit"]) == cli.EXIT_AUDIT
+    assert "self-audit mismatch" in capsys.readouterr().err
+
+
+def test_exhaustive_duality_walks_one_profile(capsys, monkeypatch):
+    widths = []
+    walk = gf2.nullity_profile
+    monkeypatch.setattr(gf2, "nullity_profile",
+                        lambda rows, width: widths.append(width) or walk(rows, width))
+    rc, _ = run_cli(["duality", "--code", "hamming:3", "--alpha", "0.1:0.4:0.1"], capsys)
+    assert rc == 0
+    assert widths == [3]  # H's n - k columns, once for the four points and both sides
 
 
 def test_mde_invariant_exits_3(capsys, monkeypatch):
@@ -385,6 +438,8 @@ def test_lwc_audit_cap_is_named(capsys, monkeypatch):
     ("self_audit", [], "self_audit = yes\n"),
     ("mode", [], "mode = bogus\n"),
     ("mode", ["--mode", "bogus"], ""),
+    ("seed", ["--seed", "-1"], ""),
+    ("seed", [], "seed = -1\n"),
 ])
 def test_bad_option_value_is_named(tmp_path, capsys, key, args, cfg):
     path = tmp_path / "run.cfg"

@@ -44,13 +44,25 @@ def test_profile_rows_count_every_pattern(h):
     assert [sum(row) for row in profile] == [comb(n, e) for e in range(n + 1)]
 
 
+def generator_failure_numerators(code):
+    """bec.failure_numerators by the generator route that map_decode_generator
+    solves: erasing E leaves k - rank(G on the kept set) message bits free."""
+    n, k = code.n, code.k
+    kept = gf2.nullity_profile(code.g_rows_packed, k)
+    numerators = []
+    for e in range(n + 1):
+        free = ((k - (n - e) + j, count) for j, count in enumerate(kept[n - e]))
+        numerators.append(sum(count * ((1 << j) - 1) << (n - j) for j, count in free if count))
+    return numerators
+
+
 @PROPERTIES
 @given(full_rank_parity_checks(), st.fractions(min_value=0, max_value=1, max_denominator=40))
 def test_both_channels_match_the_generator_route(h, p):
     code = codes.LinearCode.from_parity(h)
     p_bec = bec.failure_prob(code, p, "exhaustive").exact
     p_bdc = bdc.enc_failure_prob(code, p, "exhaustive").exact
-    generator = bec.pattern_polynomial(bec.generator_failure_numerators(code), p)
+    generator = bec.pattern_polynomial(generator_failure_numerators(code), p)
     assert p_bec == p_bdc == generator
 
 
