@@ -89,13 +89,13 @@ def error_count(x, pattern: DefectPattern) -> int:
     return int((x[defects] != pattern.s[defects]).sum())
 
 
-def sample_defects(n: int, beta: float, rng: np.random.Generator,
-                   stuck_one_prob: float = 0.5) -> DefectPattern:
-    """Each cell is stuck independently with probability beta, value Bernoulli."""
+def sample_defects(n: int, beta: float, rng: np.random.Generator) -> DefectPattern:
+    """Each cell is stuck independently with probability beta, at 0 or 1 with
+    equal odds."""
     if not 0 <= beta <= 1:
         raise ValueError("beta must lie in [0, 1]")
     stuck = rng.random(n) < beta
-    values = (rng.random(n) < stuck_one_prob).astype(np.int8)
+    values = (rng.random(n) < 0.5).astype(np.int8)
     s = np.where(stuck, values, np.int8(NORMAL)).astype(np.int8)
     return DefectPattern(s)
 
@@ -194,11 +194,9 @@ def enc_failure_bound(n: int, u: int, d_star: int, wd_dual) -> bec.FailureBound:
 
 
 def enc_failure_prob(code: LinearCode, beta, mode: str = "exhaustive", *,
-                     trials: int = 10_000, seed: int = 0,
-                     rng: np.random.Generator | None = None) -> FailureEstimate:
+                     trials: int = 10_000, seed=0) -> FailureEstimate:
     """Overall P(masking failure) at defect probability beta."""
-    return bec.channel_failure_prob(code, beta, "beta", mode, trials, seed, rng,
-                                    _mc_masking_failures)
+    return bec.channel_failure_prob(code, beta, "beta", mode, trials, seed, _mc_masking_failures)
 
 
 def _mc_masking_failures(code: LinearCode, beta: float, trials: int,

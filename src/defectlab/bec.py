@@ -235,25 +235,24 @@ def failure_bound(n: int, e: int, d: int, wd) -> FailureBound:
 
 
 def failure_prob(code: LinearCode, alpha, mode: str = "exhaustive", *,
-                 trials: int = 10_000, seed: int = 0,
-                 rng: np.random.Generator | None = None) -> FailureEstimate:
+                 trials: int = 10_000, seed=0) -> FailureEstimate:
     """Overall P(decoding failure) at erasure probability alpha.
 
     Exhaustive mode evaluates the code's nullity profile as a polynomial in
     alpha with exact rational arithmetic.  Monte Carlo mode simulates
     encode/erase/decode trials and reports a Wilson 95% interval.
     """
-    return channel_failure_prob(code, alpha, "alpha", mode, trials, seed, rng,
-                                _mc_decode_failures)
+    return channel_failure_prob(code, alpha, "alpha", mode, trials, seed, _mc_decode_failures)
 
 
-def channel_failure_prob(code: LinearCode, p, name: str, mode: str, trials: int, seed: int,
-                         rng: np.random.Generator | None, simulate) -> FailureEstimate:
+def channel_failure_prob(code: LinearCode, p, name: str, mode: str, trials: int, seed,
+                         simulate) -> FailureEstimate:
     """Failure probability of either channel at pattern probability p.
 
     Exhaustive mode is exact; Monte Carlo mode counts the failures that
     simulate(code, p, trials, rng) returns, in chunks of at most MC_CHUNK
-    trials drawn from one stream (seeded by `seed` unless `rng` is given).
+    trials drawn from the one stream np.random.default_rng(seed).  `seed` is
+    an int, a SeedSequence, or a Generator, which is drawn from in place.
     """
     if mode == "exhaustive":
         return FailureEstimate.from_exact(exhaustive_failure(code, p, name))
@@ -262,8 +261,7 @@ def channel_failure_prob(code: LinearCode, p, name: str, mode: str, trials: int,
     p = float(p)
     if not 0 <= p <= 1:
         raise ValueError(f"{name} must lie in [0, 1]")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed)
     failures = sum(simulate(code, p, min(MC_CHUNK, trials - start), rng)
                    for start in range(0, trials, MC_CHUNK))
     return FailureEstimate.from_counts(failures, trials)

@@ -279,10 +279,10 @@ def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
 
 def _mc_duality_point(code: codes.LinearCode, side: str, prob: float, trials: int,
                       seed: int, index: int) -> FailureEstimate:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    stream = np.random.SeedSequence(seed, spawn_key=(index,))
     if side == "bec":
-        return bec.failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
-    return bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng)
+        return bec.failure_prob(code, prob, "monte_carlo", trials=trials, seed=stream)
+    return bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, seed=stream)
 
 
 def cmd_duality(opts: argparse.Namespace) -> list[ResultRow]:

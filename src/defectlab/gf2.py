@@ -21,37 +21,43 @@ import numpy as np
 SOLUTION_CAP = 20
 
 
+def _coerce(v, dtype, lo: int, ndim: int, message: str) -> np.ndarray:
+    """v as an `ndim`-D `dtype` array whose entries are integers from lo to 1.
+
+    The range is checked before the cast, so no entry wraps or rounds into
+    range.  Integer input needs only its max (and, when signed, its min), so
+    uint8 takes one pass and bool none; other input is compared entry by entry.
+    """
+    a = np.asarray(v)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {('vector', 'matrix')[ndim - 1]}, got shape {a.shape}")
+    kind = a.dtype.kind
+    if kind in "iu":
+        bad = a.size and (a.max() > 1 or (kind == "i" and a.min() < lo))
+    else:
+        bad = kind != "b" and not ((a == lo) | (a == 0) | (a == 1)).all()
+    if bad:
+        raise ValueError(message)
+    return np.asarray(a, dtype=dtype)
+
+
 def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     """Coerce to a 1-D uint8 array of 0/1 values."""
-    a = np.asarray(v, dtype=np.uint8)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {a.shape}")
+    a = _coerce(v, np.uint8, 0, 1, "entries must be 0 or 1")
     if length is not None and a.shape[0] != length:
         raise ValueError(f"expected length {length}, got {a.shape[0]}")
-    if a.size and a.max() > 1:
-        raise ValueError("entries must be 0 or 1")
     return a
 
 
 def as_ternary_vector(v, blank: str) -> np.ndarray:
     """Coerce to a 1-D int8 array over {0, 1, -1}; `blank` names the -1 symbol
     in the error message."""
-    a = np.asarray(v, dtype=np.int8)
-    if a.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {a.shape}")
-    if a.size and (a.min() < -1 or a.max() > 1):
-        raise ValueError(f"entries must be 0, 1, or {blank} (-1)")
-    return a
+    return _coerce(v, np.int8, -1, 1, f"entries must be 0, 1, or {blank} (-1)")
 
 
 def as_bit_matrix(m) -> np.ndarray:
     """Coerce to a 2-D uint8 array of 0/1 values."""
-    a = np.asarray(m, dtype=np.uint8)
-    if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if a.size and a.max() > 1:
-        raise ValueError("entries must be 0 or 1")
-    return a
+    return _coerce(m, np.uint8, 0, 2, "entries must be 0 or 1")
 
 
 def pack_rows(m: np.ndarray) -> list[int]:
@@ -166,18 +172,6 @@ class SolutionSpace:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw a uniform random solution."""
-        if self.particular is None:
-            raise ValueError("inconsistent system has no solutions")
-        x = self.particular.copy()
-        if self.basis:
-            coeffs = rng.integers(0, 2, len(self.basis))
-            for coeff, vec in zip(coeffs, self.basis):
-                if coeff:
-                    x ^= vec
-        return x
 
     def solutions(self) -> Iterator[np.ndarray]:
         """Enumerate all solutions (2**dimension of them)."""

@@ -8,7 +8,6 @@ masking word only drags a few neighbours along when it must be rewritten.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -35,9 +34,10 @@ class LwcProfile:
 
 @dataclass(frozen=True)
 class CostReport:
+    """First-write and rewrite costs; lwc-audit checks weight + r* and delta + r* - 1."""
+
     initial_cost: int
     rewrite_cost: int
-    bound: int
 
 
 def masking_codeword_ints(code: LinearCode) -> list[int]:
@@ -65,20 +65,12 @@ def _coverage_weights(code: LinearCode) -> list[int | None]:
     return best
 
 
-def _locality_at(code: LinearCode, i: int) -> int:
-    cover = _coverage_weights(code)[i]
-    if cover is None:
-        raise LocalityError(
-            f"coordinate {i} lies outside every masking word; a defect there cannot be compensated")
-    return cover - 1
-
-
 def info_locality(code: LinearCode, i: int) -> int:
     """Cells to rewrite when updating the message bit at info coordinate i
     while that cell is stuck."""
     if i not in code.info_positions:
         raise ValueError(f"coordinate {i} is not an information position of {code.name}")
-    return _locality_at(code, i)
+    return rewriting_locality(code).per_coordinate[i]
 
 
 def parity_locality(code: LinearCode, j: int) -> int:
@@ -86,17 +78,12 @@ def parity_locality(code: LinearCode, j: int) -> int:
     cell at coordinate j."""
     if j not in code.parity_positions:
         raise ValueError(f"coordinate {j} is not a parity position of {code.name}")
-    return _locality_at(code, j)
-
-
-#: Profiles by code; an entry lives only as long as its code.
-_PROFILES: WeakKeyDictionary[LinearCode, LwcProfile] = WeakKeyDictionary()
+    return rewriting_locality(code).per_coordinate[j]
 
 
 def rewriting_locality(code: LinearCode) -> LwcProfile:
-    """Full locality profile; the maximum is the code's rewriting locality."""
-    if code in _PROFILES and code.n - code.k <= codes.ENUM_CAP:  # else recompute: the cap raises
-        return _PROFILES[code]
+    """Full locality profile; its maximum r* is the code's rewriting locality.
+    Raises LocalityError if any coordinate lies outside every masking word."""
     cover = _coverage_weights(code)
     uncovered = [i for i, c in enumerate(cover) if c is None]
     if uncovered:
@@ -107,7 +94,6 @@ def rewriting_locality(code: LinearCode) -> LwcProfile:
     bound = singleton_like_bound(profile.n, profile.k, profile.r_star)
     if profile.d_star > bound:
         raise InvariantViolation(f"profile {profile} violates the distance bound {bound}")
-    _PROFILES[code] = profile
     return profile
 
 
@@ -134,7 +120,8 @@ def rewrite_update(code: LinearCode, stored, message, new_message,
 
     Requires at most one stuck cell, and that `stored` encodes `message` and
     masks it.  Ties between equally cheap rewrites go to the lexicographically
-    smallest new word.
+    smallest new word.  The report holds the costs only; `lwc-audit` checks
+    them against delta + r* - 1 (rewrites) and weight + r* (first writes).
     """
     message = gf2.as_bit_vector(message, code.k)
     new_message = gf2.as_bit_vector(new_message, code.k)
@@ -161,12 +148,7 @@ def rewrite_update(code: LinearCode, stored, message, new_message,
             best, best_cost = cand, cost
     if best is None:
         raise MaskingError("no word of the new message's coset matches the stuck cell")
-    profile = rewriting_locality(code)
-    delta = int((message ^ new_message).sum())
-    report = CostReport(initial_cost=initial_writing_cost(stored, pattern),
-                        rewrite_cost=best_cost,
-                        bound=delta + profile.r_star - 1)
-    return gf2.unpack_vector(best, code.n), report
+    return gf2.unpack_vector(best, code.n), CostReport(initial_writing_cost(stored, pattern), best_cost)
 
 
 def lwc_from_lrc(h_lrc) -> LinearCode:

@@ -9,8 +9,8 @@ from fractions import Fraction
 Z_95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 95% (z = Z_95) for a binomial proportion.
 
     The ends are exact at the edges: no successes give a lower bound of 0,
     and all successes an upper bound of 1, so the estimate stays inside.
@@ -20,6 +20,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     p = successes / trials
+    z = Z_95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials))

@@ -76,10 +76,10 @@ def test_02_duality_statistical_equality_at_scale():
         trials = 100_000
         started = time.perf_counter()
         for idx, prob in enumerate([0.05, 0.1, 0.2]):
-            rng_dec = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(2 * idx,)))
-            rng_enc = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(2 * idx + 1,)))
-            est_dec = bec.failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng_dec)
-            est_enc = bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, rng=rng_enc)
+            seed_dec = np.random.SeedSequence(2024, spawn_key=(2 * idx,))
+            seed_enc = np.random.SeedSequence(2024, spawn_key=(2 * idx + 1,))
+            est_dec = bec.failure_prob(code, prob, "monte_carlo", trials=trials, seed=seed_dec)
+            est_enc = bdc.enc_failure_prob(code, prob, "monte_carlo", trials=trials, seed=seed_enc)
             sigma = math.hypot(est_dec.std_error, est_enc.std_error)
             assert abs(est_dec.value - est_enc.value) <= 3 * sigma, (
                 f"alpha={prob}: {est_dec.value} vs {est_enc.value}, 3sigma={3 * sigma}")

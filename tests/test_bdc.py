@@ -306,6 +306,8 @@ def test_from_stuck_rejects_cells_outside_the_memory_and_bad_values():
         bdc.DefectPattern.from_stuck(8, {3: bdc.NORMAL})
     with pytest.raises(ValueError, match="NORMAL"):
         bdc.DefectPattern([0, bdc.NORMAL, -2])
+    with pytest.raises(ValueError, match="NORMAL"):
+        bdc.DefectPattern(np.array([0, 511]))  # would wrap to a normal cell
     assert bdc.DefectPattern.from_stuck(8, {7: 1}).defect_set.tolist() == [7]
 
 

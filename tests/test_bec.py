@@ -53,6 +53,12 @@ def test_erase_rejects_out_of_range():
         bec.erase([1, 0], [5])
     with pytest.raises(ValueError, match="ERASED"):
         bec.ErasureObservation([1, 2, bec.ERASED])
+    # No entry may wrap or round into range on its way to uint8 or int8.
+    for codeword in (np.array([0, 256]), [0.5, 1.0], [0, 256]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            bec.erase(codeword, [])
+    with pytest.raises(ValueError, match="ERASED"):
+        bec.ErasureObservation(np.array([0, 255]))
 
 
 def test_sample_erasures_extremes():

@@ -27,6 +27,8 @@ def test_determined_symbols_become_stuck():
     assert list(pattern.s) == [0, 1, bdc.NORMAL]
     with pytest.raises(ValueError, match="FREE"):
         bridge.BeqSource([0, 3, bridge.FREE])
+    with pytest.raises(ValueError, match="FREE"):
+        bridge.BeqSource(np.array([0, 257, bridge.FREE]))  # would wrap to 1
 
 
 def test_sample_source_rate_within_3_sigma():

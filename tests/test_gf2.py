@@ -122,19 +122,6 @@ def test_every_combination_solves_system():
             assert np.array_equal(gf2.mat_mul(a, sol), b)
 
 
-def test_sample_is_a_solution_and_covers_space():
-    a = np.array([[1, 1, 0, 0]], dtype=np.uint8)
-    b = np.array([1], dtype=np.uint8)
-    space = gf2.solve(a, b)
-    rng = np.random.default_rng(3)
-    seen = set()
-    for _ in range(200):
-        x = space.sample(rng)
-        assert gf2.mat_mul(a, x)[0] == 1
-        seen.add(tuple(x))
-    assert len(seen) == 2 ** space.dimension
-
-
 def test_zero_width_systems():
     a = np.zeros((3, 0), dtype=np.uint8)
     assert gf2.solve(a, [0, 0, 0]).status == "unique"

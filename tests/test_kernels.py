@@ -77,9 +77,14 @@ def test_masking_simulator_matches_the_public_encoder_trial_for_trial(code, p):
 
 @pytest.mark.parametrize("family,params,p,trials,seed,decoding,masking", GOLDEN)
 def test_seeded_failure_counts_are_unchanged(family, params, p, trials, seed, decoding, masking):
+    """An int, its SeedSequence and a fresh Generator from it pick the same stream."""
     code = getattr(codes, family)(*params)
-    assert bec.failure_prob(code, p, "monte_carlo", trials=trials, seed=seed).failures == decoding
-    assert bdc.enc_failure_prob(code, p, "monte_carlo", trials=trials, seed=seed).failures == masking
+    for source in (lambda: seed, lambda: np.random.SeedSequence(seed),
+                   lambda: np.random.default_rng(seed)):
+        assert bec.failure_prob(code, p, "monte_carlo", trials=trials,
+                                seed=source()).failures == decoding
+        assert bdc.enc_failure_prob(code, p, "monte_carlo", trials=trials,
+                                    seed=source()).failures == masking
 
 
 def test_monte_carlo_rejects_bad_inputs_on_both_sides():

@@ -68,6 +68,9 @@ def test_uncovered_coordinate_raises():
     assert 2 in code.info_positions
     with pytest.raises(LocalityError):
         lwc.info_locality(code, 2)
+    assert 1 in code.parity_positions  # covered itself, but the code has an uncovered coordinate
+    with pytest.raises(LocalityError):
+        lwc.parity_locality(code, 1)
 
 
 def test_profiles():
@@ -135,7 +138,8 @@ def test_rewrite_conflicting_stuck_cell_is_tight():
     stored = bdc.additive_encode(code, msg, pattern).codeword
     c_new, report = lwc.rewrite_update(code, stored, msg, new, pattern)
     assert report.rewrite_cost == 3  # delta weight 1 plus locality 3 minus 1
-    assert report.bound == 3
+    delta = int((msg ^ new).sum())
+    assert delta + lwc.rewriting_locality(code).r_star - 1 == 3
     assert bdc.error_count(c_new, pattern) == 0
     assert np.array_equal(bdc.decode(code, c_new), new)
 
@@ -209,6 +213,8 @@ def test_lwc_from_lrc_rejects_bad_inputs():
         lwc.lwc_from_lrc(np.array([[1, 1], [1, 1], [0, 0]], dtype=np.uint8))  # rank deficient
     with pytest.raises(ConstructionError):
         lwc.lwc_from_lrc(codes.two_block(8).H)  # not cyclic
+    with pytest.raises(ValueError, match="0 or 1"):
+        lwc.lwc_from_lrc(codes.hamming(3).H * np.int64(257))  # would wrap to a valid cyclic H
 
 
 def test_parameter_duality_for_cyclic_pairs():
@@ -243,10 +249,26 @@ def test_lwc_from_lrc_is_built_cyclic():
     assert code.cyclic and code.name == "lwc_from_lrc"
 
 
+def test_rewrite_update_reads_no_locality_profile(monkeypatch):
+    """The report holds costs only; the bounds belong to lwc-audit."""
+    code = codes.two_block(8)
+    msg = np.zeros(6, dtype=np.uint8)
+    new = np.array([1, 0, 0, 1, 0, 0], dtype=np.uint8)
+    pattern = bdc.DefectPattern.from_stuck(8, {0: 0})
+    stored = bdc.additive_encode(code, msg, pattern).codeword
+    word, report = lwc.rewrite_update(code, stored, msg, new, pattern)
+
+    def refuse(code):
+        raise AssertionError("rewrite_update walked the locality profile")
+
+    monkeypatch.setattr(lwc, "rewriting_locality", refuse)
+    again, same = lwc.rewrite_update(code, stored, msg, new, pattern)
+    assert np.array_equal(again, word) and same == report
+
+
 def test_locality_cache_lives_only_as_long_as_the_code():
     code = codes.two_block(8)
-    profile = lwc.rewriting_locality(code)
-    assert lwc.rewriting_locality(code) is profile
+    lwc.rewriting_locality(code)
     ref = weakref.ref(code)
     del code
     gc.collect()
@@ -263,7 +285,7 @@ def test_masking_words_read_the_enumeration_cap(monkeypatch):
 
 def test_cached_profile_still_reads_the_enumeration_cap(monkeypatch):
     code = codes.bch(4, 2)  # n-k = 8
-    assert lwc.rewriting_locality(code).r_star == 3  # now cached
+    assert lwc.rewriting_locality(code).r_star == 3
     monkeypatch.setattr(codes, "ENUM_CAP", 7)
     with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap 7"):
         lwc.rewriting_locality(code)
