@@ -69,6 +69,23 @@ class EncodeOutcome:
     residual_errors: int
 
 
+@dataclass
+class EncodeBatch:
+    """Masking attempts of a batch: row t of each array belongs to trial t."""
+
+    codewords: np.ndarray
+    parities: np.ndarray
+    residual_errors: np.ndarray
+
+    @property
+    def success(self) -> np.ndarray:
+        return self.residual_errors == 0
+
+    def outcome(self, t: int) -> EncodeOutcome:
+        residual = int(self.residual_errors[t])
+        return EncodeOutcome(self.codewords[t], self.parities[t], residual == 0, residual)
+
+
 def apply_channel(x, pattern: DefectPattern) -> np.ndarray:
     """Write x through the memory: stuck cells output their stuck value."""
     x = gf2.as_bit_vector(x)
@@ -107,6 +124,21 @@ def _check_instance(code: LinearCode, message, pattern: DefectPattern):
     return message
 
 
+def _check_batch(code: LinearCode, messages, states) -> tuple[np.ndarray, np.ndarray]:
+    """T x k messages and T x n defect states, validated once for the batch.
+
+    Each operation has one kernel on validated rows (`_additive_rows`, ...).
+    A batch entry point checks its matrices here; the single-instance call
+    checks its vector and pattern and runs the kernel on one row."""
+    messages = gf2.as_bit_rows(messages, code.k)
+    return messages, gf2.as_ternary_rows(states, code.n, messages.shape[0], "NORMAL")
+
+
+def _packed_states(states: np.ndarray):
+    """Per row: the cells stuck at one and the defect cells, as packed ints."""
+    return zip(gf2.pack_rows(states == 1), gf2.pack_rows(states != NORMAL))
+
+
 def additive_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutcome:
     """Mask defects by solving for a parity vector; free parities default to 0.
 
@@ -114,13 +146,30 @@ def additive_encode(code: LinearCode, message, pattern: DefectPattern) -> Encode
     (earlier stuck cells take priority) is returned with its residual count.
     """
     message = _check_instance(code, message, pattern)
-    base = code.embed(message)
-    sol = _mask_packed(code, gf2.pack_vector(pattern.s != NORMAL),
-                       gf2.pack_vector(base ^ (pattern.s == 1)))
-    parity = gf2.unpack_vector(sol.particular, code.n - code.k)
-    codeword = base ^ gf2.mat_mul(code.H, parity)
-    residual = error_count(codeword, pattern)
-    return EncodeOutcome(codeword, parity, residual == 0, residual)
+    return _additive_rows(code, message[None], pattern.s[None]).outcome(0)
+
+
+def additive_encode_batch(code: LinearCode, messages, states) -> EncodeBatch:
+    """`additive_encode` of row t of the T x k messages against row t of the
+    T x n defect states, one masking kernel call per row."""
+    return _additive_rows(code, *_check_batch(code, messages, states))
+
+
+def _additive_rows(code: LinearCode, messages: np.ndarray, states: np.ndarray) -> EncodeBatch:
+    base = code.embed(messages)
+    columns = code.h_cols_packed
+    words, parities, residuals = [], [], []
+    for word, (stuck, defects) in zip(gf2.pack_rows(base), _packed_states(states)):
+        parity = rest = _mask_packed(code, defects, word ^ stuck).particular
+        while rest:  # word ^= H @ parity, one column per set bit
+            low = rest & -rest
+            word ^= columns[low.bit_length() - 1]
+            rest ^= low
+        words.append(word)
+        parities.append(parity)
+        residuals.append(((word ^ stuck) & defects).bit_count())
+    return EncodeBatch(gf2.unpack_rows(words, code.n), gf2.unpack_rows(parities, code.n - code.k),
+                       np.array(residuals))
 
 
 def _mask_packed(code: LinearCode, defects: int, target: int) -> gf2.PackedSolution:
@@ -164,22 +213,45 @@ def binning_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeO
     requested message and its residual counts the unsatisfiable pins.
     """
     message = _check_instance(code, message, pattern)
-    defects = pattern.defect_set
-    stuck = pattern.s[defects].astype(np.uint8)
-    rows = list(code.decode_rows_packed) + [1 << int(i) for i in defects]
-    rhs = gf2.pack_vector(message) | (gf2.pack_vector(stuck) << code.k)
-    sol = gf2.solve_packed(rows, code.n, rhs)
-    codeword = gf2.unpack_vector(sol.particular, code.n)
-    masking_word = codeword ^ code.embed(message)
-    parity = gf2.mat_mul(code.h_left_inverse, masking_word)
-    residual = error_count(codeword, pattern)
-    return EncodeOutcome(codeword, parity, residual == 0, residual)
+    return _binning_rows(code, message[None], pattern.s[None]).outcome(0)
+
+
+def binning_encode_batch(code: LinearCode, messages, states) -> EncodeBatch:
+    """`binning_encode` of row t of the T x k messages against row t of the
+    T x n defect states, one solve per row."""
+    return _binning_rows(code, *_check_batch(code, messages, states))
+
+
+def _binning_rows(code: LinearCode, messages: np.ndarray, states: np.ndarray) -> EncodeBatch:
+    # Row k + i of the system pins cell i.  A row's bit mask picks the k
+    # syndrome rows and its stuck cells, so the solve takes the syndrome
+    # equations first, then one pin per stuck cell in coordinate order.
+    n, k = code.n, code.k
+    rows = [*code.decode_rows_packed, *(1 << i for i in range(n))]
+    syndromes = (1 << k) - 1
+    words, residuals = [], []
+    for message, (stuck, defects) in zip(gf2.pack_rows(messages), _packed_states(states)):
+        word = gf2.solve_packed(rows, n, message | stuck << k, syndromes | defects << k).particular
+        words.append(word)
+        residuals.append(((word ^ stuck) & defects).bit_count())
+    codewords = gf2.unpack_rows(words, n)
+    parities = gf2.mat_mul(codewords ^ code.embed(messages), code.h_left_inverse.T)
+    return EncodeBatch(codewords, parities, np.array(residuals))
 
 
 def decode(code: LinearCode, y) -> np.ndarray:
     """Read the message back through the systematic decode map."""
     y = gf2.as_bit_vector(y, code.n)
-    return gf2.mat_mul(code.decode_map, y)
+    return _decode_rows(code, y[None])[0]
+
+
+def decode_batch(code: LinearCode, words) -> np.ndarray:
+    """Row t: the message read back from row t of the T x n words."""
+    return _decode_rows(code, gf2.as_bit_rows(words, code.n))
+
+
+def _decode_rows(code: LinearCode, words: np.ndarray) -> np.ndarray:
+    return gf2.mat_mul(words, code.decode_map.T)
 
 
 def conditional_encfail_exact(code: LinearCode, defect_set) -> Fraction:

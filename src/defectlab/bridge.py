@@ -64,23 +64,46 @@ def beq_to_bdc(src: BeqSource) -> bdc.DefectPattern:
 def quantize(code: LinearCode, src: BeqSource) -> tuple[np.ndarray, int]:
     """Quantize a source with the masking codebook; distortion counts the
     determined symbols the chosen word fails to match."""
-    pattern = beq_to_bdc(src)
-    out = bdc.additive_encode(code, np.zeros(code.k, dtype=np.uint8), pattern)
-    return out.codeword, out.residual_errors
+    words, distortions = quantize_batch(code, beq_to_bdc(src).s[None])
+    return words[0], int(distortions[0])
+
+
+def quantize_batch(code: LinearCode, samples) -> tuple[np.ndarray, np.ndarray]:
+    """`quantize` of each row of T x n source samples over {0, 1, FREE}.  A
+    source row is its own defect state row, as in `beq_to_bdc`."""
+    samples = gf2.as_ternary_rows(samples, code.n, None, "FREE")
+    zeros = np.zeros((samples.shape[0], code.k), dtype=np.uint8)
+    out = bdc.additive_encode_batch(code, zeros, samples)
+    return out.codewords, out.residual_errors
+
+
+def wom_states(cells) -> np.ndarray:
+    """Defect states of write-once cells (one vector, or T x n rows): stored
+    ones become stuck-at-1 cells, zeros stay writable."""
+    return np.where(np.asarray(cells) == 1, np.int8(1), np.int8(FREE))
 
 
 def wom_to_defects(state: WomState) -> bdc.DefectPattern:
     """Stored ones become stuck-at-1 cells; zeros stay writable."""
-    s = np.where(state.cells == 1, np.int8(1), np.int8(FREE))
-    return bdc.DefectPattern(s)
+    return bdc.DefectPattern(wom_states(state.cells))
 
 
 def wom_write(code: LinearCode, state: WomState, message) -> tuple[WomState, bool]:
     """Store a message without lowering any cell; on failure the state is kept."""
-    out = bdc.additive_encode(code, message, wom_to_defects(state))
-    if not out.success:
+    message = gf2.as_bit_vector(message, code.k)
+    cells, ok = wom_write_batch(code, state.cells[None], message[None])
+    if not ok[0]:
         return state, False
-    new_state = WomState(out.codeword)
-    if np.any(new_state.cells < state.cells):
+    return WomState(cells[0]), True
+
+
+def wom_write_batch(code: LinearCode, cells, messages) -> tuple[np.ndarray, np.ndarray]:
+    """`wom_write` of row t of the T x k messages into row t of the T x n
+    cells.  Returns the new cells, which keep the old row where a write
+    failed, and which rows were written."""
+    cells = gf2.as_bit_rows(cells, code.n)
+    out = bdc.additive_encode_batch(code, messages, wom_states(cells))
+    ok = out.success
+    if (out.codewords < cells)[ok].any():
         raise InvariantViolation("write lowered a cell despite masking success")
-    return new_state, True
+    return np.where(ok[:, None], out.codewords, cells), ok

@@ -33,6 +33,7 @@ EXIT_AUDIT = 3
 AUDIT_CAP = 12  # blocklength of the decoding self-audit
 MASKING_AUDIT_CAP = 10  # blocklength of the masking self-audit
 LWC_AUDIT_CAP = 1 << 24  # message pairs x patterns of an exhaustive lwc-audit
+BATCH = 1 << 10  # trials per batch call of lwc-audit and quaternity
 
 
 class ConfigError(ValueError):
@@ -351,30 +352,43 @@ def cmd_bounds(opts: argparse.Namespace) -> list[ResultRow]:
     return rows
 
 
+def _batches(trials: int):
+    """Row counts of the batch calls that make up `trials` trials."""
+    for lo in range(0, trials, BATCH):
+        yield min(BATCH, trials - lo)
+
+
 def _lwc_workload(opts: argparse.Namespace):
-    """(message, new_message, pattern) triples, exhaustive or sampled."""
+    """(messages, new messages, states) batches of (message, new_message,
+    pattern) triples, exhaustive or sampled: one row per triple."""
     n, k = opts.code.n, opts.code.k
-    patterns = [bdc.DefectPattern.all_normal(n)] + [
-        bdc.DefectPattern.from_stuck(n, {i: v}) for i in range(n) for v in (0, 1)
-    ]
+    # all cells normal, then cell i stuck at 0 and at 1 for each i
+    patterns = np.full((2 * n + 1, n), bdc.NORMAL, dtype=np.int8)
+    cells = np.arange(n)
+    patterns[1 + 2 * cells, cells] = 0
+    patterns[2 + 2 * cells, cells] = 1
     if opts.mode == "exhaustive":
-        if (1 << (2 * k)) * len(patterns) > LWC_AUDIT_CAP:
+        total = (1 << (2 * k)) * len(patterns)
+        if total > LWC_AUDIT_CAP:
             raise ConfigError(
                 f"exhaustive audit of 2^{2 * k} message pairs x {len(patterns)} patterns exceeds "
                 f"LWC_AUDIT_CAP = {LWC_AUDIT_CAP}; use --mode monte_carlo")
-        for old_bits in itertools.product([0, 1], repeat=k):
-            old = np.array(old_bits, dtype=np.uint8)
-            for new_bits in itertools.product([0, 1], repeat=k):
-                new = np.array(new_bits, dtype=np.uint8)
-                for pattern in patterns:
-                    yield old, new, pattern
+        messages = np.array(list(itertools.product([0, 1], repeat=k)), dtype=np.uint8)
+        for lo in range(0, total, BATCH):
+            pair, pattern = np.divmod(np.arange(lo, min(lo + BATCH, total)), len(patterns))
+            old, new = np.divmod(pair, len(messages))
+            yield messages[old], messages[new], patterns[pattern]
     else:
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(0,)))
-        for _ in range(opts.trials):
-            old = rng.integers(0, 2, k, dtype=np.uint8)
-            new = rng.integers(0, 2, k, dtype=np.uint8)
-            pattern = patterns[int(rng.integers(0, len(patterns)))]
-            yield old, new, pattern
+        for size in _batches(opts.trials):
+            old = np.empty((size, k), dtype=np.uint8)
+            new = np.empty((size, k), dtype=np.uint8)
+            picks = np.empty(size, dtype=np.intp)
+            for t in range(size):
+                old[t] = rng.integers(0, 2, k, dtype=np.uint8)
+                new[t] = rng.integers(0, 2, k, dtype=np.uint8)
+                picks[t] = rng.integers(0, len(patterns))
+            yield old, new, patterns[picks]
 
 
 def cmd_lwc_audit(opts: argparse.Namespace) -> list[ResultRow]:
@@ -388,13 +402,16 @@ def cmd_lwc_audit(opts: argparse.Namespace) -> list[ResultRow]:
 
     # Rewrite costs by message distance, first-write costs by message weight.
     stats: dict[str, dict[int, list[int]]] = {"rewrite": {}, "write": {}}
-    for old, new, pattern in _lwc_workload(opts):
-        stored = bdc.additive_encode(code, old, pattern)
-        if not stored.success:
-            continue
-        _, report = lwc.rewrite_update(code, stored.codeword, old, new, pattern)
-        stats["rewrite"].setdefault(int((old ^ new).sum()), []).append(report.rewrite_cost)
-        stats["write"].setdefault(int(old.sum()), []).append(report.initial_cost)
+    for old, new, states in _lwc_workload(opts):
+        stored = bdc.additive_encode_batch(code, old, states)
+        if not stored.success.all():
+            # the localities cover every coordinate, so one stuck cell is always maskable
+            raise InvariantViolation("a first write failed with at most one stuck cell")
+        _, initial, rewrite = lwc.rewrite_update_batch(code, stored.codewords, old, new, states)
+        for side, keys, costs in (("rewrite", (old ^ new).sum(axis=1), rewrite),
+                                  ("write", old.sum(axis=1), initial)):
+            for key, cost in zip(keys.tolist(), costs.tolist()):
+                stats[side].setdefault(key, []).append(cost)
     for side, slack in (("rewrite", profile.r_star - 1), ("write", profile.r_star)):
         for key, costs in sorted(stats[side].items()):
             cap = key + slack
@@ -408,31 +425,30 @@ def cmd_lwc_audit(opts: argparse.Namespace) -> list[ResultRow]:
 
 def cmd_quaternity(opts: argparse.Namespace) -> list[ResultRow]:
     code = opts.code
+    n, k = code.n, code.k
     rows = []
     for point, alpha in enumerate(opts.alpha):
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(point,)))
         beq_violations = 0
-        for _ in range(opts.trials):
-            src = bridge.sample_source(code.n, alpha, rng)
-            _, distortion = bridge.quantize(code, src)
-            maskable = bdc.binning_encode(
-                code, np.zeros(code.k, dtype=np.uint8), bridge.beq_to_bdc(src)).success
-            if (distortion == 0) != maskable:
-                beq_violations += 1
+        for size in _batches(opts.trials):
+            samples = np.stack([bridge.sample_source(n, alpha, rng).samples for _ in range(size)])
+            _, distortion = bridge.quantize_batch(code, samples)
+            zeros = np.zeros((size, k), dtype=np.uint8)
+            maskable = bdc.binning_encode_batch(code, zeros, samples).success  # beq_to_bdc rows
+            beq_violations += int(((distortion == 0) != maskable).sum())
         wom_violations = 0
         one_density = 1 - alpha
-        for _ in range(opts.trials):
-            cells = (rng.random(code.n) < one_density).astype(np.uint8)
-            state = bridge.WomState(cells)
-            message = rng.integers(0, 2, code.k, dtype=np.uint8)
-            new_state, ok = bridge.wom_write(code, state, message)
-            if ok:
-                if np.any(new_state.cells < cells):
-                    wom_violations += 1
-                elif not np.array_equal(bdc.decode(code, new_state.cells), message):
-                    wom_violations += 1
-            elif new_state is not state:
-                wom_violations += 1
+        for size in _batches(opts.trials):
+            cells = np.empty((size, n), dtype=np.uint8)
+            messages = np.empty((size, k), dtype=np.uint8)
+            for t in range(size):
+                cells[t] = rng.random(n) < one_density
+                messages[t] = rng.integers(0, 2, k, dtype=np.uint8)
+            new_cells, ok = bridge.wom_write_batch(code, cells, messages)
+            lowered = (new_cells < cells).any(axis=1)
+            misread = (bdc.decode_batch(code, new_cells) != messages).any(axis=1)
+            changed = (new_cells != cells).any(axis=1)  # a failed write must keep the state
+            wom_violations += int(np.where(ok, lowered | misread, changed).sum())
         for side, violations in (("beq", beq_violations), ("wom", wom_violations)):
             rows.append(_row(opts, side, alpha, violations,
                              regime="ok" if not violations else "violation", trials=opts.trials))

@@ -3,8 +3,9 @@
 A code is stored column-major: the generator G is n x k (codeword = G @ m),
 the parity check H is n x (n-k) with H.T @ G = 0.  Cyclic families are
 built from a generator polynomial given as an integer bit mask (bit i =
-coefficient of x^i).  A BCH generator is the product of (x + alpha^j) over a
-union of cyclotomic cosets in GF(2^m), using the primitive polynomials
+coefficient of x^i).  A BCH generator is the carry-less product of the
+minimal polynomials of a set of cyclotomic cosets, each the product of
+(x + alpha^j) over one coset in GF(2^m), using the primitive polynomials
 tabulated below.
 """
 
@@ -99,11 +100,22 @@ class LinearCode:
         return self._systematic[1]
 
     def embed(self, message) -> np.ndarray:
-        """Place a message on the info positions, zeros elsewhere."""
-        message = gf2.as_bit_vector(message, self.k)
-        x = np.zeros(self.n, dtype=np.uint8)
-        x[list(self.info_positions)] = message
+        """Place a message (or each row of a T x k batch) on the info
+        positions, zeros elsewhere."""
+        message = np.asarray(message)
+        if message.ndim == 2:
+            message = gf2.as_bit_rows(message, self.k)
+        else:
+            message = gf2.as_bit_vector(message, self.k)
+        x = np.zeros(message.shape[:-1] + (self.n,), dtype=np.uint8)
+        x[..., self._info_index] = message
         return x
+
+    @cached_property
+    def _info_index(self) -> np.ndarray:
+        index = np.array(self.info_positions, dtype=np.intp)
+        index.setflags(write=False)
+        return index
 
     # -- packed caches used by the channel engines ----------------------------
 
@@ -143,6 +155,25 @@ class LinearCode:
         return q
 
     # -- enumeration ----------------------------------------------------------
+
+    def masking_words(self) -> np.ndarray:
+        """All 2^(n-k) masking words (column combinations of H) in Gray-walk
+        order, one row each in the `gf2.pack_words` layout.  Built once per
+        code; the cap is read on every call."""
+        width = self.n - self.k
+        if width > ENUM_CAP:
+            raise CapacityError(f"n-k={width} exceeds enumeration cap {ENUM_CAP}")
+        return self._masking_words
+
+    @cached_property
+    def _masking_words(self) -> np.ndarray:
+        words = gf2.pack_words(np.zeros((1, self.n), dtype=np.uint8))
+        for generator in gf2.pack_words(self.H.T):
+            words = np.concatenate([words, words ^ generator])  # row i sums the set bits of i
+        step = np.arange(len(words))
+        words = words[step ^ (step >> 1)]
+        words.setflags(write=False)
+        return words
 
     def codeword_ints(self):
         """All 2^k codewords as packed integers, in Gray-walk order."""
@@ -259,6 +290,17 @@ def _poly_divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
+def _poly_mul(a: int, b: int) -> int:
+    """Carry-less product of two GF(2) polynomials."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        b >>= 1
+    return out
+
+
 def _poly_reciprocal(p: int, deg: int) -> int:
     out = 0
     for i in range(deg + 1):
@@ -351,8 +393,10 @@ def bch(m: int, t: int) -> LinearCode:
     if t < 1:
         raise ConstructionError("t must be >= 1")
     n = (1 << m) - 1
-    roots = set().union(*(_cyclotomic_coset(s, n) for s in range(1, 2 * t + 1)))
-    g = _root_product(sorted(roots), *_gf2m_tables(m))
+    tables = _gf2m_tables(m)
+    g = 1
+    for coset in sorted({_cyclotomic_coset(s, n) for s in range(1, 2 * t + 1)}):
+        g = _poly_mul(g, _root_product(coset, *tables))  # one minimal polynomial per coset
     if _poly_deg(g) >= n:
         raise ConstructionError(f"bch({m},{t}) has no message bits")
     return cyclic_code(n, g, name=f"bch({m},{t})")

@@ -60,6 +60,26 @@ def as_bit_matrix(m) -> np.ndarray:
     return _coerce(m, np.uint8, 0, 2, "entries must be 0 or 1")
 
 
+def _check_width(a: np.ndarray, width: int, rows: int | None) -> np.ndarray:
+    if a.shape[1] != width or (rows is not None and a.shape[0] != rows):
+        expected = f"{rows} x {width}" if rows is not None else f"rows of length {width}"
+        raise ValueError(f"expected {expected}, got shape {a.shape}")
+    return a
+
+
+def as_bit_rows(m, width: int, rows: int | None = None) -> np.ndarray:
+    """Coerce to a uint8 matrix of 0/1 values with `width` columns (and `rows`
+    rows when given): the T rows of a batch call."""
+    return _check_width(as_bit_matrix(m), width, rows)
+
+
+def as_ternary_rows(m, width: int, rows: int | None, blank: str) -> np.ndarray:
+    """Coerce to an int8 matrix over {0, 1, -1} with `width` columns (and
+    `rows` rows when given); `blank` names the -1 symbol in the error message."""
+    a = _coerce(m, np.int8, -1, 2, f"entries must be 0, 1, or {blank} (-1)")
+    return _check_width(a, width, rows)
+
+
 def pack_rows(m: np.ndarray) -> list[int]:
     """Pack each matrix row into an integer (bit j = column j)."""
     m = as_bit_matrix(m)
@@ -79,6 +99,30 @@ def pack_vector(v) -> int:
 def unpack_vector(x: int, n: int) -> np.ndarray:
     buf = np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
     return np.unpackbits(buf, count=n, bitorder="little")
+
+
+def unpack_rows(words: Sequence[int], n: int) -> np.ndarray:
+    """Inverse of `pack_rows`: one row of n bits per packed word."""
+    size = (n + 7) // 8
+    buf = np.frombuffer(b"".join(x.to_bytes(size, "little") for x in words), dtype=np.uint8)
+    return np.unpackbits(buf.reshape(len(words), size), axis=1, count=n, bitorder="little")
+
+
+def pack_words(m) -> np.ndarray:
+    """Pack each matrix row into ceil(cols / 64) uint64 words, big-endian: column
+    0 is the top bit of word 0.  Comparing two rows word by word is then the
+    lexicographic order of `precedes`, and a row's weight is the sum of its
+    words' popcounts, for any number of columns.  `m` holds 0/1 or bools and
+    is not checked: callers pass rows they have validated."""
+    rows, cols = m.shape
+    packed = np.zeros((rows, 8 * max(1, -(-cols // 64))), dtype=np.uint8)
+    packed[:, :(cols + 7) // 8] = np.packbits(m, axis=1, bitorder="big")
+    return packed.view(">u8").astype(np.uint64)
+
+
+def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of `pack_words`: the first n bits of each row of words."""
+    return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n, bitorder="big")
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

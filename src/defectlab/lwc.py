@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bdc, codes, gf2
-from .codes import LinearCode, gray_combinations
-from .errors import (CapacityError, ConstructionError, InvariantViolation, LocalityError,
-                     MaskingError)
+from . import bdc, gf2
+from .codes import LinearCode
+from .errors import ConstructionError, InvariantViolation, LocalityError, MaskingError
 
 
 @dataclass(frozen=True)
@@ -40,12 +39,18 @@ class CostReport:
     rewrite_cost: int
 
 
+#: Candidate words scored per step of `rewrite_update_batch`: a step takes
+#: max(1, REWRITE_CHUNK // 2^(n-k)) rows of the batch, so each temporary holds
+#: about REWRITE_CHUNK words (64 KiB at one uint64 per word) at any batch size.
+REWRITE_CHUNK = 1 << 13
+
+_NO_WORD = np.iinfo(np.uint64).max  # above every candidate word of a tie-break step
+
+
 def masking_codeword_ints(code: LinearCode) -> list[int]:
-    """All 2^(n-k) masking words (column combinations of H) as packed ints."""
-    width = code.n - code.k
-    if width > codes.ENUM_CAP:
-        raise CapacityError(f"n-k={width} exceeds enumeration cap {codes.ENUM_CAP}")
-    return list(gray_combinations(code.h_cols_packed, width))
+    """All 2^(n-k) masking words (column combinations of H) as packed ints,
+    read off the code's cached word array in its Gray-walk order."""
+    return gf2.pack_rows(gf2.unpack_words(code.masking_words(), code.n))
 
 
 def _coverage_weights(code: LinearCode) -> list[int | None]:
@@ -110,8 +115,11 @@ def initial_writing_cost(codeword, pattern: bdc.DefectPattern) -> int:
     codeword = gf2.as_bit_vector(codeword, pattern.n)
     if bdc.error_count(codeword, pattern):
         raise ValueError("codeword does not mask the stuck cells")
-    stuck_nonzero = int((pattern.s == 1).sum())
-    return int(codeword.sum()) - stuck_nonzero
+    return int(_initial_costs(codeword[None], pattern.s[None])[0])
+
+
+def _initial_costs(codewords: np.ndarray, states: np.ndarray) -> np.ndarray:
+    return codewords.sum(axis=1, dtype=np.int64) - (states == 1).sum(axis=1)
 
 
 def rewrite_update(code: LinearCode, stored, message, new_message,
@@ -123,32 +131,67 @@ def rewrite_update(code: LinearCode, stored, message, new_message,
     smallest new word.  The report holds the costs only; `lwc-audit` checks
     them against delta + r* - 1 (rewrites) and weight + r* (first writes).
     """
-    message = gf2.as_bit_vector(message, code.k)
+    message = bdc._check_instance(code, message, pattern)
     new_message = gf2.as_bit_vector(new_message, code.k)
     stored = gf2.as_bit_vector(stored, code.n)
-    if pattern.num_defects > 1:
+    words, initial, rewrite = _rewrite_rows(code, stored[None], message[None],
+                                            new_message[None], pattern.s[None])
+    return words[0], CostReport(int(initial[0]), int(rewrite[0]))
+
+
+def rewrite_update_batch(code: LinearCode, stored, messages, new_messages,
+                         states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`rewrite_update` of every row: T x n stored words, T x k messages and
+    new messages, and T x n defect states.
+
+    Returns the T x n new words, the initial costs and the rewrite costs.  The
+    preconditions are checked once over the batch; a row that breaks one
+    raises the error of the single call.
+    """
+    stored = gf2.as_bit_rows(stored, code.n)
+    rows = stored.shape[0]
+    return _rewrite_rows(code, stored, gf2.as_bit_rows(messages, code.k, rows),
+                         gf2.as_bit_rows(new_messages, code.k, rows),
+                         gf2.as_ternary_rows(states, code.n, rows, "NORMAL"))
+
+
+def _rewrite_rows(code: LinearCode, stored: np.ndarray, messages: np.ndarray,
+                  new_messages: np.ndarray, states: np.ndarray):
+    """The rewrite kernel on validated rows.  Each candidate is the new
+    message's embedding XOR one masking word, in the `gf2.pack_words` layout,
+    so its cost is one XOR and popcount per word, and the lexicographically
+    smallest of the cheapest (`gf2.precedes`) is the numerically smallest."""
+    pinned = states != bdc.NORMAL
+    if (pinned.sum(axis=1) > 1).any():
         raise ValueError("rewrite locality arguments assume at most one stuck cell")
-    if not np.array_equal(bdc.decode(code, stored), message):
+    if (bdc._decode_rows(code, stored) != messages).any():
         raise ValueError("stored word does not encode the current message")
-    if bdc.error_count(stored, pattern):
+    if ((stored != states) & pinned).any():
         raise ValueError("stored word does not mask the stuck cell")
 
-    pinned = gf2.pack_vector(pattern.s != bdc.NORMAL)
-    stuck = gf2.pack_vector(pattern.s == 1)
-    base = gf2.pack_vector(code.embed(new_message))
-    stored_int = gf2.pack_vector(stored)
-    best = None
-    best_cost = code.n + 1
-    for word in masking_codeword_ints(code):
-        cand = base ^ word
-        if (cand ^ stuck) & pinned:
-            continue
-        cost = (cand ^ stored_int).bit_count()
-        if cost < best_cost or (cost == best_cost and gf2.precedes(cand, best)):
-            best, best_cost = cand, cost
-    if best is None:
-        raise MaskingError("no word of the new message's coset matches the stuck cell")
-    return gf2.unpack_vector(best, code.n), CostReport(initial_writing_cost(stored, pattern), best_cost)
+    masking = code.masking_words()
+    rows = stored.shape[0]
+    packed = gf2.pack_words(np.concatenate([code.embed(new_messages), stored, pinned, states == 1]))
+    base, old, pins, stuck = packed.reshape(4, rows, -1)
+    best = np.empty_like(base)
+    costs = np.empty(rows, dtype=np.int64)
+    step = max(1, REWRITE_CHUNK // len(masking))
+    for lo in range(0, rows, step):
+        part = slice(lo, lo + step)
+        cand = base[part, None, :] ^ masking
+        cost = np.bitwise_count(cand ^ old[part, None, :]).sum(axis=2, dtype=np.int64)
+        cost[((cand ^ stuck[part, None, :]) & pins[part, None, :]).any(axis=2)] = code.n + 1
+        least = cost.min(axis=1)
+        if (least > code.n).any():
+            raise MaskingError("no word of the new message's coset matches the stuck cell")
+        tied = cost == least[:, None]
+        for j in range(cand.shape[2]):  # lexicographic: word 0 first, ties narrow per word
+            column = cand[:, :, j]
+            smallest = np.where(tied, column, _NO_WORD).min(axis=1)
+            tied &= column == smallest[:, None]
+        best[part] = cand[np.arange(len(least)), tied.argmax(axis=1)]
+        costs[part] = least
+    return gf2.unpack_words(best, code.n), _initial_costs(stored, states), costs
 
 
 def lwc_from_lrc(h_lrc) -> LinearCode:

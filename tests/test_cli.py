@@ -293,7 +293,11 @@ def test_exhaustive_duality_walks_one_profile(capsys, monkeypatch):
 def test_mde_invariant_exits_3(capsys, monkeypatch):
     from defectlab import bdc
 
-    monkeypatch.setattr(cli.bdc, "additive_encode", bdc.mde_encode)
+    def mde_rows(code, messages, states):  # the first writes, one exhaustive encode per row
+        for message, state in zip(messages, states):
+            bdc.mde_encode(code, message, bdc.DefectPattern(state))
+
+    monkeypatch.setattr(cli.bdc, "additive_encode_batch", mde_rows)
     monkeypatch.setattr(bdc, "error_count", lambda x, pattern: -1)
     rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
                    "--trials", "5"])
@@ -313,8 +317,8 @@ def test_wom_write_invariant_exits_3(capsys, monkeypatch):
     from defectlab import bdc
 
     # a reduction that forgets the stored ones lets the encoder lower a cell
-    monkeypatch.setattr(cli.bridge, "wom_to_defects",
-                        lambda state: bdc.DefectPattern.all_normal(state.n))
+    monkeypatch.setattr(cli.bridge, "wom_states",
+                        lambda cells: np.full(np.shape(cells), bdc.NORMAL, dtype=np.int8))
     rc = cli.main(["quaternity", "--code", "two_block:8", "--alpha", "0.5",
                    "--trials", "50", "--seed", "2"])
     assert rc == cli.EXIT_AUDIT
@@ -327,11 +331,26 @@ def test_masking_error_exits_3(capsys, monkeypatch):
     def no_coset_word(*args, **kwargs):
         raise MaskingError("no word of the new message's coset matches the stuck cell")
 
-    monkeypatch.setattr(cli.lwc, "rewrite_update", no_coset_word)
+    monkeypatch.setattr(cli.lwc, "rewrite_update_batch", no_coset_word)
     rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
                    "--trials", "5"])
     assert rc == cli.EXIT_AUDIT
     assert capsys.readouterr().err.startswith("error: no word")
+
+
+def test_failed_first_write_exits_3(capsys, monkeypatch):
+    encode = cli.bdc.additive_encode_batch
+
+    def last_row_fails(code, messages, states):
+        out = encode(code, messages, states)
+        out.residual_errors[-1] = 1
+        return out
+
+    monkeypatch.setattr(cli.bdc, "additive_encode_batch", last_row_fails)
+    rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
+                   "--trials", "5"])
+    assert rc == cli.EXIT_AUDIT
+    assert capsys.readouterr().err.startswith("invariant violation: a first write failed")
 
 
 def test_quaternity_rows_are_the_two_audits(capsys):
