@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bec, gf2
 from .bec import EXHAUSTIVE_CAP  # re-exported: one cap for both channels
-from .codes import LinearCode, gray_combinations
+from .codes import LinearCode
 from .errors import CapacityError, InvariantViolation
 from .stats import FailureEstimate
 
@@ -186,18 +186,14 @@ def mde_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutco
         raise CapacityError(f"n-k={width} exceeds the exhaustive parity cap {MDE_CAP}")
     message = _check_instance(code, message, pattern)
     base = code.embed(message)
-    defects = gf2.pack_vector(pattern.s != NORMAL)
-    target = gf2.pack_vector(base ^ (pattern.s == 1)) & defects
-    restricted_cols = [col & defects for col in code.h_cols_packed]
-
-    best_parity = 0
-    best_residual = target.bit_count()
-    for i, word in enumerate(gray_combinations(restricted_cols, width)):
-        parity_word = i ^ (i >> 1)  # the columns summed at step i of the Gray walk
-        residual = (target ^ word).bit_count()
-        if residual < best_residual or (residual == best_residual
-                                        and gf2.precedes(parity_word, best_parity)):
-            best_residual, best_parity = residual, parity_word
+    target, defects = gf2.pack_words(np.stack([base ^ (pattern.s == 1), pattern.s != NORMAL]))
+    residuals = np.bitwise_count((code.masking_words() ^ target) & defects).sum(axis=1)
+    best_residual = int(residuals.min())
+    tied = np.flatnonzero(residuals == best_residual)  # row i adds the columns of H at the bits of i
+    for j in range(width):  # lexicographic: parity bit 0 first, ties narrow per bit
+        zero = tied[((tied >> j) & 1) == 0]
+        tied = zero if zero.size else tied
+    best_parity = int(tied[0])
     parity = gf2.unpack_vector(best_parity, width)
     codeword = base ^ gf2.mat_mul(code.H, parity)
     if error_count(codeword, pattern) != best_residual:
@@ -279,8 +275,6 @@ def _mc_masking_failures(code: LinearCode, beta: float, trials: int,
     messages = rng.integers(0, 2, (trials, k), dtype=np.uint8)
     defect_masks = (rng.random((trials, n)) < beta).astype(np.uint8)
     stuck_values = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    embedded = np.zeros((trials, n), dtype=np.uint8)
-    embedded[:, list(code.info_positions)] = messages
-    targets = gf2.pack_rows(embedded ^ stuck_values)
+    targets = gf2.pack_rows(code.embed(messages) ^ stuck_values)
     return sum(not _mask_packed(code, defects, target).consistent
                for target, defects in zip(targets, gf2.pack_rows(defect_masks)))

@@ -272,7 +272,7 @@ def _mc_decode_failures(code: LinearCode, alpha: float, trials: int,
     """Encode/erase/decode trials: messages and erasures are drawn in bulk,
     then each trial is one call of the decode kernel."""
     messages = rng.integers(0, 2, (trials, code.k), dtype=np.uint8)
-    codewords = gf2.pack_rows((messages @ code.G.T.astype(np.int64)) % 2)
+    codewords = gf2.pack_rows(gf2.mat_mul(messages, code.G.T))
     erased = gf2.pack_rows((rng.random((trials, code.n)) < alpha).astype(np.uint8))
     full = (1 << code.n) - 1
     return sum(_decode_packed(code, full ^ mask, codeword, rng)[0] != message

@@ -259,18 +259,17 @@ def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
         raise ConfigError("--self-audit on the defect side is capped at "
                           f"n <= MASKING_AUDIT_CAP = {MASKING_AUDIT_CAP}")
     n = code.n
-    message = np.zeros(code.k, dtype=np.uint8)
     total = Fraction(0)
     for u in range(n + 1):
         weight = beta ** u * (1 - beta) ** (n - u)
         if weight == 0:
             continue
+        messages = np.zeros((1 << u, code.k), dtype=np.uint8)
+        values = (np.arange(1 << u)[:, None] >> np.arange(u)) & 1  # row: one stuck assignment
         for locs in itertools.combinations(range(n), u):
-            fails = 0
-            for vals in itertools.product([0, 1], repeat=u):
-                pattern = bdc.DefectPattern.from_stuck(n, dict(zip(locs, vals)))
-                if not bdc.binning_encode(code, message, pattern).success:
-                    fails += 1
+            states = np.full((1 << u, n), bdc.NORMAL, dtype=np.int8)
+            states[:, list(locs)] = values
+            fails = np.count_nonzero(~bdc.binning_encode_batch(code, messages, states).success)
             if fails:
                 total += weight * Fraction(fails, 1 << u)
     return total

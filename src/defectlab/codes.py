@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -157,9 +158,9 @@ class LinearCode:
     # -- enumeration ----------------------------------------------------------
 
     def masking_words(self) -> np.ndarray:
-        """All 2^(n-k) masking words (column combinations of H) in Gray-walk
-        order, one row each in the `gf2.pack_words` layout.  Built once per
-        code; the cap is read on every call."""
+        """All 2^(n-k) masking words, one row each in the `gf2.span_words`
+        order (row i sums the columns of H at the set bits of i).  Built once
+        per code; the cap is read on every call."""
         width = self.n - self.k
         if width > ENUM_CAP:
             raise CapacityError(f"n-k={width} exceeds enumeration cap {ENUM_CAP}")
@@ -167,23 +168,16 @@ class LinearCode:
 
     @cached_property
     def _masking_words(self) -> np.ndarray:
-        words = gf2.pack_words(np.zeros((1, self.n), dtype=np.uint8))
-        for generator in gf2.pack_words(self.H.T):
-            words = np.concatenate([words, words ^ generator])  # row i sums the set bits of i
-        step = np.arange(len(words))
-        words = words[step ^ (step >> 1)]
+        words = np.concatenate(list(gf2.span_words(self.H.T)))
         words.setflags(write=False)
         return words
 
-    def codeword_ints(self):
-        """All 2^k codewords as packed integers, in Gray-walk order."""
+    def codewords(self):
+        """All 2^k codewords; the i-th sums the columns of G at the set bits of i."""
         if self.k > ENUM_CAP:
             raise CapacityError(f"k={self.k} exceeds enumeration cap {ENUM_CAP}")
-        return gray_combinations(gf2.pack_rows(self.G.T), self.k)
-
-    def codewords(self):
-        for word in self.codeword_ints():
-            yield gf2.unpack_vector(word, self.n)
+        for block in gf2.span_words(self.G.T):
+            yield from gf2.unpack_words(block, self.n)
 
     def weight_distribution(self) -> tuple[int, ...]:
         """Exact codeword counts by weight, A_0 .. A_n.
@@ -198,15 +192,13 @@ class LinearCode:
 
     @cached_property
     def _weight_distribution(self) -> tuple[int, ...]:
-        if self.k <= self.n - self.k:
-            counts = [0] * (self.n + 1)
-            for word in self.codeword_ints():
-                counts[word.bit_count()] += 1
-            return tuple(counts)
-        dual_counts = [0] * (self.n + 1)
-        for word in gray_combinations(self.h_cols_packed, self.n - self.k):
-            dual_counts[word.bit_count()] += 1
-        return macwilliams_transform(tuple(dual_counts), self.n, self.n - self.k)
+        primal = self.k <= self.n - self.k
+        counts = np.zeros(self.n + 1, dtype=np.int64)
+        for block in gf2.span_words(self.G.T if primal else self.H.T):
+            weights = np.bitwise_count(block).sum(axis=1, dtype=np.int64)
+            counts += np.bincount(weights, minlength=self.n + 1)
+        counts = tuple(int(c) for c in counts)
+        return counts if primal else macwilliams_transform(counts, self.n, self.n - self.k)
 
     def min_distance(self) -> int:
         """Smallest nonzero codeword weight."""
@@ -236,22 +228,10 @@ def _stack_columns(vectors, n: int) -> np.ndarray:
     return np.stack(vectors, axis=1)
 
 
-def gray_combinations(generators: list[int], dim: int):
-    """All 2^dim sums of the first dim generators, in Gray-walk order: step i
-    adds generators[j] for each set bit j of i ^ (i >> 1)."""
-    word = 0
-    yield word
-    for i in range(1, 1 << dim):
-        word ^= generators[(i & -i).bit_length() - 1]
-        yield word
-
-
 # -- weight enumerator algebra ------------------------------------------------
 
 def macwilliams_transform(counts, n: int, k: int) -> tuple[int, ...]:
     """Weight distribution of the dual of an (n, k) code with distribution `counts`."""
-    from math import comb
-
     counts = tuple(int(x) for x in counts)
     if len(counts) != n + 1 or any(x < 0 for x in counts):
         raise ValueError(f"need {n + 1} nonnegative counts")

@@ -5,7 +5,8 @@ packed into Python integers (bit j of a row word = column j), so a row XOR is
 one word-parallel big-int operation.  `solve_packed` is the one elimination
 loop: solving, rank, reduced row echelon form and inversion all run through
 it.  It pivots on the first set bit of each row, scanning columns first to
-last.
+last.  `span_words` is the one span enumerator: every scan of a code's
+codewords or masking words reads it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ import numpy as np
 
 #: Largest solution-space dimension that `SolutionSpace.solutions` enumerates.
 SOLUTION_CAP = 20
+
+#: Rows per block of `span_words`, and candidate words per step of the rewrite
+#: kernel, so each temporary holds about SPAN_BLOCK words (64 KiB at one
+#: uint64 per word) whatever the span's size.
+SPAN_BLOCK = 1 << 13
 
 
 def _coerce(v, dtype, lo: int, ndim: int, message: str) -> np.ndarray:
@@ -123,6 +129,24 @@ def pack_words(m) -> np.ndarray:
 def unpack_words(words: np.ndarray, n: int) -> np.ndarray:
     """Inverse of `pack_words`: the first n bits of each row of words."""
     return np.unpackbits(words.astype(">u8").view(np.uint8), axis=1, count=n, bitorder="big")
+
+
+def span_words(generators) -> Iterator[np.ndarray]:
+    """All 2^g sums of the g rows of the 0/1 matrix `generators`, in the
+    `pack_words` layout: row i of the walk is the XOR of the generators at the
+    set bits of i.  The rows come in order, in blocks of at most SPAN_BLOCK."""
+    packed = pack_words(generators)
+    low = min(len(packed), SPAN_BLOCK.bit_length() - 1)
+    block, offsets = _all_sums(packed[:low]), _all_sums(packed[low:])
+    for offset in offsets:
+        yield block ^ offset
+
+
+def _all_sums(packed: np.ndarray) -> np.ndarray:
+    sums = np.zeros((1, packed.shape[1]), dtype=np.uint64)
+    for generator in packed:
+        sums = np.concatenate([sums, sums ^ generator])  # the new top bit of the row index
+    return sums
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

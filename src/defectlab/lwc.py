@@ -39,34 +39,26 @@ class CostReport:
     rewrite_cost: int
 
 
-#: Candidate words scored per step of `rewrite_update_batch`: a step takes
-#: max(1, REWRITE_CHUNK // 2^(n-k)) rows of the batch, so each temporary holds
-#: about REWRITE_CHUNK words (64 KiB at one uint64 per word) at any batch size.
-REWRITE_CHUNK = 1 << 13
-
 _NO_WORD = np.iinfo(np.uint64).max  # above every candidate word of a tie-break step
 
 
 def masking_codeword_ints(code: LinearCode) -> list[int]:
     """All 2^(n-k) masking words (column combinations of H) as packed ints,
-    read off the code's cached word array in its Gray-walk order."""
+    read off the code's cached word array in its `gf2.span_words` order."""
     return gf2.pack_rows(gf2.unpack_words(code.masking_words(), code.n))
 
 
-def _coverage_weights(code: LinearCode) -> list[int | None]:
-    """Per coordinate: weight of the lightest masking word covering it."""
-    best: list[int | None] = [None] * code.n
-    for word in masking_codeword_ints(code):
-        if not word:
-            continue
-        weight = word.bit_count()
-        rest = word
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if best[i] is None or weight < best[i]:
-                best[i] = weight
-            rest ^= low
+def _coverage_weights(code: LinearCode) -> np.ndarray:
+    """Per coordinate: weight of the lightest masking word covering it, or
+    n + 1 when no masking word covers it."""
+    masking = code.masking_words()
+    best = np.full(code.n, code.n + 1)
+    weight_type = np.min_scalar_type(code.n + 1)  # uint8 up to n = 254
+    for lo in range(0, len(masking), gf2.SPAN_BLOCK):
+        block = masking[lo:lo + gf2.SPAN_BLOCK]
+        weights = np.bitwise_count(block).sum(axis=1, dtype=weight_type)
+        covering = np.where(gf2.unpack_words(block, code.n), weights[:, None], code.n + 1)
+        best = np.minimum(best, covering.min(axis=0))
     return best
 
 
@@ -90,10 +82,10 @@ def rewriting_locality(code: LinearCode) -> LwcProfile:
     """Full locality profile; its maximum r* is the code's rewriting locality.
     Raises LocalityError if any coordinate lies outside every masking word."""
     cover = _coverage_weights(code)
-    uncovered = [i for i, c in enumerate(cover) if c is None]
+    uncovered = np.flatnonzero(cover > code.n).tolist()
     if uncovered:
         raise LocalityError(f"coordinates {uncovered} lie outside every masking word")
-    per_coordinate = tuple(c - 1 for c in cover)
+    per_coordinate = tuple(int(c) - 1 for c in cover)
     d_star = code.min_distance()
     profile = LwcProfile(code.n, code.k, d_star, max(per_coordinate), per_coordinate)
     bound = singleton_like_bound(profile.n, profile.k, profile.r_star)
@@ -175,7 +167,7 @@ def _rewrite_rows(code: LinearCode, stored: np.ndarray, messages: np.ndarray,
     base, old, pins, stuck = packed.reshape(4, rows, -1)
     best = np.empty_like(base)
     costs = np.empty(rows, dtype=np.int64)
-    step = max(1, REWRITE_CHUNK // len(masking))
+    step = max(1, gf2.SPAN_BLOCK // len(masking))  # rows per step: ~SPAN_BLOCK candidates
     for lo in range(0, rows, step):
         part = slice(lo, lo + step)
         cand = base[part, None, :] ^ masking

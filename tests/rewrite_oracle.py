@@ -1,16 +1,14 @@
 """The Python-int rewrite scan that `lwc.rewrite_update` ran before it became a
 one-row call of `lwc.rewrite_update_batch`, kept as an independent oracle.
 
-It walks the masking words with `codes.gray_combinations` rather than reading
-the code's cached word array, and packs words as Python ints with bit j =
-column j, so it shares neither the word layout nor the candidate scoring of
-the batch kernel.
+It builds the masking words itself, as Python ints with bit j = column j,
+rather than reading the code's cached word array, so it shares neither the
+enumerator, the word layout nor the candidate scoring of the batch kernel.
 """
 
 import numpy as np
 
 from defectlab import bdc, gf2
-from defectlab.codes import gray_combinations
 from defectlab.errors import MaskingError
 
 
@@ -33,7 +31,7 @@ def rewrite_update_oracle(code, stored, message, new_message, pattern):
     stored_int = gf2.pack_vector(stored)
     best = None
     best_cost = code.n + 1
-    for word in gray_combinations(code.h_cols_packed, code.n - code.k):
+    for word in masking_words_oracle(code):
         cand = base ^ word
         if (cand ^ stuck) & pinned:
             continue
@@ -44,3 +42,12 @@ def rewrite_update_oracle(code, stored, message, new_message, pattern):
         raise MaskingError("no word of the new message's coset matches the stuck cell")
     initial_cost = int(stored.sum()) - int((pattern.s == 1).sum())
     return gf2.unpack_vector(best, code.n), initial_cost, best_cost
+
+
+def masking_words_oracle(code):
+    """Every sum of the columns of H, built by doubling a list of ints, so
+    word i sums the columns at the set bits of i."""
+    words = [0]
+    for column in code.h_cols_packed:
+        words += [word ^ column for word in words]
+    return words

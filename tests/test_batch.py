@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from defectlab import bdc, bridge, codes, gf2, lwc
 from defectlab.errors import ConstructionError, MaskingError
-from rewrite_oracle import rewrite_update_oracle
+from rewrite_oracle import masking_words_oracle, rewrite_update_oracle
 
 PROPERTIES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
@@ -152,7 +152,7 @@ def test_chunking_does_not_change_the_result(monkeypatch):
     old, new, states = draw_rows(code, rng, 50)
     stored = bdc.additive_encode_batch(code, old, states).codewords
     whole = lwc.rewrite_update_batch(code, stored, old, new, states)
-    monkeypatch.setattr(lwc, "REWRITE_CHUNK", 1)  # one row per step
+    monkeypatch.setattr(gf2, "SPAN_BLOCK", 1)  # one row per step
     parts = lwc.rewrite_update_batch(code, stored, old, new, states)
     assert all(np.array_equal(a, b) for a, b in zip(whole, parts))
 
@@ -242,7 +242,7 @@ def test_masking_words_are_built_once_and_read_the_cap(monkeypatch):
     code = codes.bch(4, 2)
     words = code.masking_words()
     assert code.masking_words() is words and not words.flags.writeable
-    walk = list(codes.gray_combinations(code.h_cols_packed, code.n - code.k))
+    walk = masking_words_oracle(code)
     assert gf2.pack_rows(gf2.unpack_words(words, code.n)) == walk
     assert lwc.masking_codeword_ints(code) == walk
     monkeypatch.setattr(codes, "ENUM_CAP", 7)

@@ -144,18 +144,20 @@ def test_mde_tie_breaks_toward_zero_parity():
 
 
 def test_mde_finds_global_minimum():
-    code = codes.two_block(8)
-    rng = np.random.default_rng(13)
-    for _ in range(60):
-        msg = rng.integers(0, 2, 6, dtype=np.uint8)
-        pattern = bdc.sample_defects(8, 0.6, rng)
-        out = bdc.mde_encode(code, msg, pattern)
-        base = code.embed(msg)
-        best = min(
-            bdc.error_count(base ^ gf2.mat_mul(code.H, np.array(p, dtype=np.uint8)), pattern)
-            for p in itertools.product([0, 1], repeat=2)
-        )
-        assert out.residual_errors == best
+    for code in [codes.two_block(8), codes.bch(4, 2)]:
+        # itertools.product lists the parities in lexicographic order, so the
+        # first cheapest one is the tie-break's pick.
+        parities = np.array(list(itertools.product([0, 1], repeat=code.n - code.k)), dtype=np.uint8)
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            msg = rng.integers(0, 2, code.k, dtype=np.uint8)
+            pattern = bdc.sample_defects(code.n, 0.6, rng)
+            out = bdc.mde_encode(code, msg, pattern)
+            words = code.embed(msg) ^ gf2.mat_mul(parities, code.H.T)
+            pinned = pattern.s != bdc.NORMAL
+            residuals = ((words != pattern.s) & pinned).sum(axis=1)
+            assert out.residual_errors == residuals.min()
+            assert out.parity.tolist() == parities[residuals.argmin()].tolist()
 
 
 def test_mde_cap(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -351,6 +352,25 @@ def test_failed_first_write_exits_3(capsys, monkeypatch):
                    "--trials", "5"])
     assert rc == cli.EXIT_AUDIT
     assert capsys.readouterr().err.startswith("invariant violation: a first write failed")
+
+
+def test_failed_masking_audit_row_exits_3(capsys, monkeypatch):
+    encode = cli.bdc.binning_encode_batch
+    calls = []
+
+    def first_row_fails_once(code, messages, states):
+        out = encode(code, messages, states)
+        if not calls:  # the defect-free pattern, which always masks
+            out.residual_errors[0] = 1
+        calls.append(len(messages))
+        return out
+
+    monkeypatch.setattr(cli.bdc, "binning_encode_batch", first_row_fails_once)
+    rc = cli.main(["duality", "--code", "two_block:8", "--alpha", "0.1", "--mode", "exhaustive",
+                   "--self-audit"])
+    assert rc == cli.EXIT_AUDIT
+    assert "self-audit mismatch" in capsys.readouterr().err
+    assert calls == [1 << u for u in range(9) for _ in range(math.comb(8, u))]
 
 
 def test_quaternity_rows_are_the_two_audits(capsys):

@@ -162,12 +162,37 @@ def test_precedes_reads_column_zero_first():
     assert gf2.precedes(0b0110, 0b0111)
 
 
-def test_gray_walk_step_i_sums_the_columns_of_i_xor_half_i():
-    cols = [0b0011, 0b0110, 0b1100, 0b1001]
-    for i, word in enumerate(codes.gray_combinations(cols, 4)):
-        picked = i ^ (i >> 1)
-        expected = 0
-        for j, col in enumerate(cols):
-            if (picked >> j) & 1:
-                expected ^= col
-        assert word == expected
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_span_row_i_sums_the_generators_at_the_bits_of_i(data):
+    """Against a Python-int walk, with blocks of 1 to 16 rows joined, over up
+    to three uint64 words per row; a code on these generators gets the same
+    weight distribution from many blocks as from one."""
+    n = data.draw(st.one_of(st.integers(1, 10), st.integers(11, 140)), label="n")
+    count = data.draw(st.integers(0, 6), label="generators")
+    block = 1 << data.draw(st.integers(0, 4), label="log2 block")
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n * count, max_size=n * count),
+                              label="bits"), dtype=np.uint8).reshape(count, n)
+    generators = [sum(int(b) << j for j, b in enumerate(row)) for row in bits]
+    walk = []
+    for i in range(1 << count):
+        word = 0
+        for j, generator in enumerate(generators):
+            if (i >> j) & 1:
+                word ^= generator
+        walk.append(word)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gf2, "SPAN_BLOCK", block)
+        blocks = list(gf2.span_words(bits))
+        many = None
+        if count <= n and gf2.rank(bits) == count:
+            many = codes.LinearCode(bits.T).weight_distribution()
+    assert all(len(rows) <= block for rows in blocks)
+    rows = np.concatenate(blocks)
+    assert rows.dtype == np.uint64 and rows.shape == (1 << count, -(-n // 64))
+    assert [sum(int(b) << j for j, b in enumerate(row)) for row in gf2.unpack_words(rows, n)] == walk
+    if many is not None:
+        code = codes.LinearCode(bits.T)
+        assert many == code.weight_distribution()
+        if code.k <= code.n - code.k:  # the side the distribution enumerates
+            assert many == tuple(np.bincount([w.bit_count() for w in walk], minlength=n + 1))
