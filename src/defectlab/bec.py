@@ -173,8 +173,8 @@ def _check_profile(profile, wd) -> None:
     supported inside it, so for every size e (Greene's identity)
         sum_j N[e][j] = C(n, e)  and  sum_j N[e][j] 2^j = sum_w A_w C(n-w, e-w).
     The weight distribution walks no subsets, so this route is independent of
-    the profile's.  It misses changes that keep both sums, which only the
-    per-pattern routes of --self-audit see.
+    the profile's.  It misses changes that keep both sums; the CLI's
+    --self-audit, which rebuilds every entry set by set, sees those.
     """
     n = len(wd) - 1
     for e, row in enumerate(profile):

@@ -30,8 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_AUDIT = 3
 
-AUDIT_CAP = 12  # blocklength of the decoding self-audit
-MASKING_AUDIT_CAP = 10  # blocklength of the masking self-audit
+AUDIT_CAP = 10  # blocklength of --self-audit in duality
 LWC_AUDIT_CAP = 1 << 24  # message pairs x patterns of an exhaustive lwc-audit
 BATCH = 1 << 10  # trials per batch call of lwc-audit and quaternity
 
@@ -168,7 +167,7 @@ OPTIONS = {
     "format": ("csv or jsonl", "csv", _one_of("csv", "jsonl")),
     "out": ("output path (default stdout)", None, str),
     "workers": ("process pool size for Monte Carlo points", "1", _at_least(1, "positive")),
-    "self_audit": ("recompute exact values through an independent route", "false",
+    "self_audit": ("check exact values through independent routes", "false",
                    lambda text: _one_of("true", "false")(text) == "true"),
 }
 
@@ -231,48 +230,48 @@ def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
     return opts
 
 
-# -- independent audit oracles ----------------------------------------------------
+# -- independent audit routes -----------------------------------------------------
 
-def _audit_decode_failure(code: codes.LinearCode, alpha: Fraction) -> Fraction:
-    """Recompute P(decoding failure) through the generator-side rank route."""
+def _route_profiles(code: codes.LinearCode) -> dict[str, list[list[int]]]:
+    """Rebuild the nullity profile N[e][j] one location set E at a time,
+    through two routes that walk no subsets:
+
+    * generator: j = k - rank of G's rows outside E, the message bits that
+      erasing E leaves free;
+    * masking: the coset encoder runs on all 2^|E| stuck assignments of E,
+      and exactly 2^(|E| - j) of them mask.  A count that is not a power of
+      two gives no nullity; its set is left out, so its row comes up short.
+    """
     if code.n > AUDIT_CAP:
         raise ConfigError(f"--self-audit is capped at n <= AUDIT_CAP = {AUDIT_CAP}")
-    n = code.n
+    n, k = code.n, code.k
     g_rows = code.g_rows_packed
-    total = Fraction(0)
+    tables = {route: [[0] * (n + 1) for _ in range(n + 1)] for route in ("generator", "masking")}
     for e in range(n + 1):
-        weight = alpha ** e * (1 - alpha) ** (n - e)
-        if weight == 0:
-            continue
-        for pattern in itertools.combinations(range(n), e):
-            erased = set(pattern)
-            j = code.k - gf2.rank_packed(g_rows[i] for i in range(n) if i not in erased)
-            if j:
-                total += weight * Fraction((1 << j) - 1, 1 << j)
-    return total
-
-
-def _audit_masking_failure(code: codes.LinearCode, beta: Fraction) -> Fraction:
-    """Recompute P(masking failure) by running the coset encoder on every
-    pattern and stuck assignment."""
-    if code.n > MASKING_AUDIT_CAP:
-        raise ConfigError("--self-audit on the defect side is capped at "
-                          f"n <= MASKING_AUDIT_CAP = {MASKING_AUDIT_CAP}")
-    n = code.n
-    total = Fraction(0)
-    for u in range(n + 1):
-        weight = beta ** u * (1 - beta) ** (n - u)
-        if weight == 0:
-            continue
-        messages = np.zeros((1 << u, code.k), dtype=np.uint8)
-        values = (np.arange(1 << u)[:, None] >> np.arange(u)) & 1  # row: one stuck assignment
-        for locs in itertools.combinations(range(n), u):
-            states = np.full((1 << u, n), bdc.NORMAL, dtype=np.int8)
+        messages = np.zeros((1 << e, k), dtype=np.uint8)
+        values = (np.arange(1 << e)[:, None] >> np.arange(e)) & 1  # row: one stuck assignment
+        for locs in itertools.combinations(range(n), e):
+            kept = [g_rows[i] for i in range(n) if i not in locs]
+            tables["generator"][e][k - gf2.rank_packed(kept)] += 1
+            states = np.full((1 << e, n), bdc.NORMAL, dtype=np.int8)
             states[:, list(locs)] = values
-            fails = np.count_nonzero(~bdc.binning_encode_batch(code, messages, states).success)
-            if fails:
-                total += weight * Fraction(fails, 1 << u)
-    return total
+            masked = int(np.count_nonzero(bdc.binning_encode_batch(code, messages, states).success))
+            if masked and not masked & (masked - 1):
+                tables["masking"][e][e + 1 - masked.bit_length()] += 1
+    return tables
+
+
+def _self_audit(code: codes.LinearCode) -> None:
+    """Check the nullity profile entry by entry against both routes.  Every
+    exhaustive value on both channels is read off the profile, so this covers
+    every alpha and beta at once."""
+    for route, table in _route_profiles(code).items():
+        for e, (got, want) in enumerate(zip(table, code.h_nullity_profile)):
+            for j, (ours, theirs) in enumerate(zip(got, want)):
+                if ours != theirs:
+                    raise InvariantViolation(
+                        f"self-audit mismatch: the {route} route counts {ours} sets of size "
+                        f"e={e} with nullity j={j}, the nullity profile {theirs}")
 
 
 # -- commands ----------------------------------------------------------------------
@@ -291,18 +290,12 @@ def cmd_duality(opts: argparse.Namespace) -> list[ResultRow]:
         raise ConfigError("alpha and beta grids must have the same length")
     rows: list[ResultRow] = []
     if opts.mode == "exhaustive":
+        if opts.self_audit:
+            _self_audit(code)
         for alpha, beta in zip(opts.alpha, opts.beta):
-            p_dec = bec.failure_prob(code, as_fraction(alpha), "exhaustive").exact
-            p_enc = bdc.enc_failure_prob(code, as_fraction(beta), "exhaustive").exact
-            if alpha == beta and p_dec != p_enc:  # the duality itself
-                raise InvariantViolation(
-                    f"decoding {p_dec} and masking {p_enc} disagree at alpha=beta={alpha}")
-            if opts.self_audit:
-                audit_dec = _audit_decode_failure(code, as_fraction(alpha))
-                audit_enc = _audit_masking_failure(code, as_fraction(beta))
-                if audit_dec != p_dec or audit_enc != p_enc:
-                    raise InvariantViolation("self-audit mismatch in exhaustive duality values")
-            for side, prob, exact in (("bec", alpha, p_dec), ("bdc", beta, p_enc)):
+            for side, prob, failure_prob in (("bec", alpha, bec.failure_prob),
+                                             ("bdc", beta, bdc.enc_failure_prob)):
+                exact = failure_prob(code, as_fraction(prob), "exhaustive").exact
                 rows.append(_row(opts, side, prob, exact, str(exact), regime="exact"))
         return rows
 
@@ -417,8 +410,11 @@ def cmd_lwc_audit(opts: argparse.Namespace) -> list[ResultRow]:
             worst = max(costs)
             rows.append(_row(opts, side, key, worst, str(Fraction(sum(costs), len(costs))),
                              str(cap), "ok" if worst <= cap else "violation", len(costs)))
-    if any(row.regime == "violation" for row in rows):
-        raise InvariantViolation("a cost bound was violated during the audit")
+    violations = [f"{row.side} key {row.param:g}: worst cost {row.estimate:g} > cap {row.bound}"
+                  for row in rows if row.regime == "violation"]
+    if violations:
+        raise InvariantViolation("a cost bound was violated during the audit: "
+                                 + "; ".join(violations))
     return rows
 
 
@@ -451,8 +447,10 @@ def cmd_quaternity(opts: argparse.Namespace) -> list[ResultRow]:
         for side, violations in (("beq", beq_violations), ("wom", wom_violations)):
             rows.append(_row(opts, side, alpha, violations,
                              regime="ok" if not violations else "violation", trials=opts.trials))
-    if any(row.regime == "violation" for row in rows):
-        raise InvariantViolation("reduction fuzzing found violations")
+    violations = [f"{row.side} at alpha={row.param!r}: {row.estimate:g} of {row.trials} trials"
+                  for row in rows if row.regime == "violation"]
+    if violations:
+        raise InvariantViolation("reduction fuzzing found violations: " + "; ".join(violations))
     return rows
 
 

@@ -1,8 +1,11 @@
+import importlib
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,18 +123,6 @@ def test_unknown_code_gives_config_exit(capsys):
 
 def test_missing_code_gives_config_exit(capsys):
     assert cli.main(["duality", "--alpha", "0.1"]) == cli.EXIT_CONFIG
-
-
-def test_invariant_violation_exits_3(capsys, monkeypatch):
-    from defectlab import bdc
-    from defectlab.stats import FailureEstimate
-
-    def wrong(code, beta, mode="exhaustive", **kwargs):
-        return FailureEstimate.from_exact(Fraction(1, 3))
-
-    monkeypatch.setattr(cli.bdc, "enc_failure_prob", wrong)
-    rc = cli.main(["duality", "--code", "hamming:3", "--alpha", "0.1", "--mode", "exhaustive"])
-    assert rc == cli.EXIT_AUDIT
 
 
 def test_config_file_provides_defaults(tmp_path, capsys):
@@ -281,6 +272,41 @@ def test_self_audit_sees_what_the_profile_check_cannot(capsys, monkeypatch):
     assert "self-audit mismatch" in capsys.readouterr().err
 
 
+def test_self_audit_sees_a_shift_that_keeps_every_value(capsys, monkeypatch):
+    """lrc_pyramid(10,5)'s N[4] is (80, 120, 10, 0); the shift (-2, 7, -7, 2)
+    keeps its pattern count, its supported codewords (-2 + 14 - 28 + 16 = 0)
+    and its failure numerator (7*4 - 21*2 + 14 = 0, in units of 2^(n-3)), so
+    every value at every alpha is unchanged.  Only the entries move."""
+    shift_profile_row(monkeypatch, 4, (-2, 7, -7, 2))
+    args = ["duality", "--code", "lrc_pyramid:10,5", "--alpha", "0:1:0.25"]
+    assert cli.main(args) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(args + ["--self-audit"]) == cli.EXIT_AUDIT
+    err = capsys.readouterr().err
+    assert err.startswith("invariant violation: self-audit mismatch: the generator route")
+    assert "e=4 with nullity j=0" in err
+
+
+@pytest.mark.parametrize("spec", ["hamming:3", "two_block:8", "two_block:10",
+                                  "lrc_pyramid:10,5", "lrc_pyramid:9,3", "rm:0,3", "rm:1,3",
+                                  "rm:3,3", "repetition:5", "single_parity:6"])
+def test_both_routes_rebuild_the_nullity_profile(spec):
+    code = cli.parse_code_spec(spec)
+    profile = [list(row) for row in code.h_nullity_profile]
+    assert cli._route_profiles(code) == {"generator": profile, "masking": profile}
+
+
+@pytest.mark.parametrize("alpha", ["0.1", "0.1:0.4:0.1"])
+def test_self_audit_encodes_each_location_set_once(capsys, monkeypatch, alpha):
+    calls = []
+    encode = cli.bdc.binning_encode_batch
+    monkeypatch.setattr(cli.bdc, "binning_encode_batch",
+                        lambda *args: calls.append(1) or encode(*args))
+    rc, _ = run_cli(["duality", "--code", "hamming:3", "--alpha", alpha, "--self-audit"], capsys)
+    assert rc == cli.EXIT_OK
+    assert len(calls) == 1 << 7  # one call per location set, whatever the grid
+
+
 def test_exhaustive_duality_walks_one_profile(capsys, monkeypatch):
     widths = []
     walk = gf2.nullity_profile
@@ -373,6 +399,38 @@ def test_failed_masking_audit_row_exits_3(capsys, monkeypatch):
     assert calls == [1 << u for u in range(9) for _ in range(math.comb(8, u))]
 
 
+def test_cost_violation_names_its_row(capsys, monkeypatch):
+    update = cli.lwc.rewrite_update_batch
+
+    def expensive_rewrites(*args):
+        words, initial, rewrite = update(*args)
+        return words, initial, np.full_like(rewrite, 99)
+
+    monkeypatch.setattr(cli.lwc, "rewrite_update_batch", expensive_rewrites)
+    rc = cli.main(["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo",
+                   "--trials", "5"])
+    assert rc == cli.EXIT_AUDIT
+    row = r"rewrite key \d+: worst cost 99 > cap \d+"
+    assert re.fullmatch(f"invariant violation: a cost bound was violated during the audit: "
+                        f"{row}(; {row})*\n", capsys.readouterr().err)
+
+
+def test_reduction_violation_names_its_row(capsys, monkeypatch):
+    quantize = cli.bridge.quantize_batch
+
+    def inverted_distortion(code, samples):  # zero exactly where the real one is not
+        words, distortion = quantize(code, samples)
+        return words, (distortion == 0).astype(distortion.dtype)
+
+    monkeypatch.setattr(cli.bridge, "quantize_batch", inverted_distortion)
+    rc = cli.main(["quaternity", "--code", "two_block:8", "--alpha", "0.3,0.6",
+                   "--trials", "50", "--seed", "2"])
+    assert rc == cli.EXIT_AUDIT
+    assert capsys.readouterr().err == (
+        "invariant violation: reduction fuzzing found violations: "
+        "beq at alpha=0.3: 50 of 50 trials; beq at alpha=0.6: 50 of 50 trials\n")
+
+
 def test_quaternity_rows_are_the_two_audits(capsys):
     rc, out = run_cli(["quaternity", "--code", "two_block:8", "--alpha", "0.3,0.6",
                        "--trials", "50", "--seed", "2"], capsys)
@@ -456,12 +514,20 @@ def test_closed_stdout_exits_2_without_a_traceback():
     assert "Traceback" not in err and "Exception ignored" not in err
 
 
-def test_masking_audit_cap_is_read_on_every_call(monkeypatch):
+def test_audit_cap_is_read_on_every_call(monkeypatch):
     code = codes.hamming(3)
-    assert cli._audit_masking_failure(code, Fraction(1, 10)) == Fraction(118569, 32000000)
-    monkeypatch.setattr(cli, "MASKING_AUDIT_CAP", 6)
-    with pytest.raises(cli.ConfigError, match="MASKING_AUDIT_CAP = 6"):
-        cli._audit_masking_failure(code, Fraction(1, 10))
+    assert cli._route_profiles(code)["masking"] == [list(row) for row in code.h_nullity_profile]
+    monkeypatch.setattr(cli, "AUDIT_CAP", 6)
+    with pytest.raises(cli.ConfigError, match="AUDIT_CAP = 6"):
+        cli._route_profiles(code)
+
+
+def test_self_audit_beyond_the_cap_exits_2_at_once(capsys, monkeypatch):
+    monkeypatch.setattr(codes.LinearCode, "h_nullity_profile",
+                        property(lambda self: pytest.fail("the profile was walked")))
+    rc = cli.main(["duality", "--code", "two_block:12", "--alpha", "0.1", "--self-audit"])
+    assert rc == cli.EXIT_CONFIG
+    assert "AUDIT_CAP = 10" in capsys.readouterr().err
 
 
 def test_lwc_audit_cap_is_named(capsys, monkeypatch):
@@ -492,9 +558,8 @@ def test_bad_option_value_is_named(tmp_path, capsys, key, args, cfg):
 @pytest.mark.parametrize("value, audits", [("true", 1), ("false", 0)])
 def test_self_audit_in_a_config_file(tmp_path, capsys, monkeypatch, value, audits):
     calls = []
-    audit = cli._audit_decode_failure
-    monkeypatch.setattr(cli, "_audit_decode_failure",
-                        lambda code, alpha: calls.append(alpha) or audit(code, alpha))
+    audit = cli._route_profiles
+    monkeypatch.setattr(cli, "_route_profiles", lambda code: calls.append(code) or audit(code))
     path = tmp_path / "run.cfg"
     path.write_text(f"code = hamming:3\nalpha = 0.1\nself_audit = {value}\n")
     rc, _ = run_cli(["duality", "--config", str(path)], capsys)
@@ -531,3 +596,15 @@ def test_flag_wins_over_the_config_file(tmp_path, key):
     if key == "code":
         resolved = [code.name for code in resolved]
     assert resolved[0] != expected and resolved[1] == expected
+
+
+def test_readme_caps_exist_with_their_stated_values():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Enumeration caps", 1)[1].split("\n### ", 1)[0]
+    named = re.findall(r"`(\w+)\.([A-Z_]+)` \((\d+)(?:\^(\d+))?\)", section)
+    assert {(module, name) for module, name, *_ in named} >= {
+        ("codes", "ENUM_CAP"), ("cli", "AUDIT_CAP"), ("cli", "LWC_AUDIT_CAP"),
+        ("bec", "EXHAUSTIVE_CAP")}
+    for module, name, base, power in named:
+        stated = int(base) ** int(power or 1)
+        assert getattr(importlib.import_module(f"defectlab.{module}"), name) == stated, name
