@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import bec, gf2
-from .bec import EXHAUSTIVE_CAP  # re-exported: one cap for both channels
 from .codes import LinearCode
 from .errors import CapacityError, InvariantViolation
 from .stats import FailureEstimate

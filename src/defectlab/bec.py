@@ -16,12 +16,10 @@ import numpy as np
 
 from . import gf2
 from .codes import LinearCode
-from .errors import CapacityError, InvariantViolation
+from .errors import InvariantViolation
 from .stats import FailureEstimate, as_fraction
 
 ERASED = -1
-
-EXHAUSTIVE_CAP = 20
 
 MC_CHUNK = 1 << 16
 
@@ -157,37 +155,11 @@ def failure_numerators(code: LinearCode) -> list[int]:
     """2^n times the conditional failure summed over all patterns of each size e.
 
     A pattern E fails with probability 1 - 2^-j on both channels, j being the
-    nullity of H's rows on E, so the sums are read off the code's nullity
-    profile, once it has passed `_check_profile`.
+    nullity of H's rows on E, so the sums are read off the code's checked
+    nullity profile.
     """
-    _check_exhaustive_cap(code)
-    profile = code.h_nullity_profile
-    _check_profile(profile, code.weight_distribution())
-    return [_numerator(enumerate(row), code.n) for row in profile]
-
-
-def _check_profile(profile, wd) -> None:
-    """Check a nullity profile N[e][j] against the weight distribution A_w.
-
-    The 2^j dependent subsets of a pattern of nullity j are the codewords
-    supported inside it, so for every size e (Greene's identity)
-        sum_j N[e][j] = C(n, e)  and  sum_j N[e][j] 2^j = sum_w A_w C(n-w, e-w).
-    The weight distribution walks no subsets, so this route is independent of
-    the profile's.  It misses changes that keep both sums; the CLI's
-    --self-audit, which rebuilds every entry set by set, sees those.
-    """
-    n = len(wd) - 1
-    for e, row in enumerate(profile):
-        got = (sum(row), sum(count << j for j, count in enumerate(row)))
-        want = (comb(n, e), sum(wd[w] * comb(n - w, e - w) for w in range(e + 1)))
-        if got != want:
-            raise InvariantViolation(
-                f"nullity profile disagrees with the weight distribution at e={e}: "
-                f"(patterns, supported codewords) = {got} from the profile, {want} from A_w")
-
-
-def _numerator(nullity_counts, n: int) -> int:
-    return sum(count * ((1 << j) - 1) << (n - j) for j, count in nullity_counts if count)
+    return [sum(count * ((1 << j) - 1) << (code.n - j) for j, count in enumerate(row))
+            for row in code.h_nullity_profile]
 
 
 def pattern_polynomial(numerators: list[int], p: Fraction) -> Fraction:
@@ -196,19 +168,6 @@ def pattern_polynomial(numerators: list[int], p: Fraction) -> Fraction:
     a, b = p.numerator, p.denominator
     total = sum(a ** e * (b - a) ** (n - e) * num for e, num in enumerate(numerators))
     return Fraction(total, b ** n << n)
-
-
-def exhaustive_failure(code: LinearCode, p, name: str) -> Fraction:
-    """Exact failure probability of either channel at pattern probability p."""
-    p = as_fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError(f"{name} must lie in [0, 1]")
-    return pattern_polynomial(failure_numerators(code), p)
-
-
-def _check_exhaustive_cap(code: LinearCode) -> None:
-    if code.n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive mode is capped at n <= {EXHAUSTIVE_CAP}, got n={code.n}")
 
 
 def failure_bound(n: int, e: int, d: int, wd) -> FailureBound:
@@ -254,13 +213,13 @@ def channel_failure_prob(code: LinearCode, p, name: str, mode: str, trials: int,
     trials drawn from the one stream np.random.default_rng(seed).  `seed` is
     an int, a SeedSequence, or a Generator, which is drawn from in place.
     """
-    if mode == "exhaustive":
-        return FailureEstimate.from_exact(exhaustive_failure(code, p, name))
-    if mode != "monte_carlo":
+    if mode not in ("exhaustive", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
-    p = float(p)
+    p = as_fraction(p) if mode == "exhaustive" else float(p)
     if not 0 <= p <= 1:
         raise ValueError(f"{name} must lie in [0, 1]")
+    if mode == "exhaustive":
+        return FailureEstimate.from_exact(pattern_polynomial(failure_numerators(code), p))
     rng = np.random.default_rng(seed)
     failures = sum(simulate(code, p, min(MC_CHUNK, trials - start), rng)
                    for start in range(0, trials, MC_CHUNK))

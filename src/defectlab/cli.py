@@ -227,6 +227,9 @@ def resolve_options(args: argparse.Namespace) -> argparse.Namespace:
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     opts.beta = opts.beta or opts.alpha
+    if opts.self_audit and not (opts.command == "bounds"
+                                or (opts.command == "duality" and opts.mode == "exhaustive")):
+        raise ConfigError("self_audit: applies only to bounds and to duality in exhaustive mode")
     return opts
 
 
@@ -321,19 +324,19 @@ def cmd_bounds(opts: argparse.Namespace) -> list[ResultRow]:
     d = code.min_distance()
     # The oracle is the per-size average of H's nullity profile, the same
     # table on both sides; --self-audit checks it against the weight enumerator.
-    numerators = bec.failure_numerators(code) if code.n <= bec.EXHAUSTIVE_CAP else None
+    try:
+        numerators = bec.failure_numerators(code)
+    except CapacityError as exc:
+        if opts.self_audit:
+            raise ConfigError(f"self_audit: no exact oracle to audit against: {exc}") from None
+        numerators = None
     rows = []
-    for side in ("bec", "bdc"):
+    for side, failure_bound in (("bec", bec.failure_bound), ("bdc", bdc.enc_failure_bound)):
         for e in range(code.n + 1):
-            if side == "bec":
-                piece = bec.failure_bound(code.n, e, d, wd)
-            else:
-                piece = bdc.enc_failure_bound(code.n, e, d, wd)
-            oracle = None
-            if numerators is not None:
-                oracle = Fraction(numerators[e], comb(code.n, e) << code.n)
+            piece = failure_bound(code.n, e, d, wd)
+            oracle = Fraction(numerators[e], comb(code.n, e) << code.n) if numerators else None
             estimate = float(oracle) if oracle is not None else float(piece.value)
-            if opts.self_audit and oracle is not None:
+            if opts.self_audit:
                 if piece.regime in ("zero", "exact") and piece.value != oracle:
                     raise InvariantViolation(
                         f"bound value {piece.value} disagrees with the pattern oracle {oracle} at e={e}")

@@ -23,6 +23,9 @@ from .errors import CapacityError, ConstructionError, InvariantViolation
 #: Largest dimension that is enumerated word by word.
 ENUM_CAP = 24
 
+#: Largest blocklength whose nullity profile is walked subset by subset.
+EXHAUSTIVE_CAP = 20
+
 #: Primitive polynomial per extension degree m (bit i = coefficient of x^i).
 PRIMITIVE_POLYS = {
     2: 0b111,        # x^2 + x + 1
@@ -38,7 +41,7 @@ PRIMITIVE_POLYS = {
 class LinearCode:
     """Immutable (n, k) binary linear code with cached analysis results."""
 
-    def __init__(self, G, H=None, *, name: str = "", cyclic: bool = False):
+    def __init__(self, G, H=None, *, name: str = ""):
         G = gf2.as_bit_matrix(G).copy()  # frozen below; the caller's array stays writable
         n, k = G.shape
         if H is None:
@@ -54,7 +57,7 @@ class LinearCode:
             raise ConstructionError("H.T @ G != 0")
         G.setflags(write=False)
         H.setflags(write=False)
-        vars(self).update(G=G, H=H, n=n, k=k, name=name or f"code({n},{k})", cyclic=cyclic)
+        vars(self).update(G=G, H=H, n=n, k=k, name=name or f"code({n},{k})")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LinearCode is immutable; cannot set {name!r}")
@@ -133,13 +136,23 @@ class LinearCode:
         """The columns of H, which generate the masking code, as n-bit words."""
         return gf2.pack_rows(self.H.T)
 
-    @cached_property
+    @property
     def h_nullity_profile(self) -> tuple[tuple[int, ...], ...]:
         """N[e][j]: sets of e rows of H with nullity j, shared by both channels.
 
-        Walks up to 2^n row subsets on first use; callers enforce their caps.
+        One walk over the 2^n row subsets per code, checked against the weight
+        distribution before it is first returned; the cap is read every time.
         """
-        return gf2.nullity_profile(self.h_rows_packed, self.n - self.k)
+        if self.n > EXHAUSTIVE_CAP:
+            raise CapacityError(f"exhaustive mode is capped at n <= EXHAUSTIVE_CAP = "
+                                f"{EXHAUSTIVE_CAP}, got n={self.n}; use monte_carlo mode")
+        return self._h_nullity_profile
+
+    @cached_property
+    def _h_nullity_profile(self) -> tuple[tuple[int, ...], ...]:
+        profile = gf2.nullity_profile(self.h_rows_packed, self.n - self.k)
+        _check_profile(profile, self.weight_distribution())
+        return profile
 
     @cached_property
     def decode_rows_packed(self) -> list[int]:
@@ -209,12 +222,14 @@ class LinearCode:
 
     def dual(self) -> "LinearCode":
         """Swap the generator/parity-check roles."""
-        return LinearCode(self.H, self.G, name=f"dual({self.name})", cyclic=self.cyclic)
+        return LinearCode(self.H, self.G, name=f"dual({self.name})")
 
     def closed_under_shift(self) -> bool:
         """True when every cyclic shift of a codeword is again a codeword."""
         shifted = np.roll(self.G, 1, axis=0)
         return gf2.rank(np.hstack([self.G, shifted])) == self.k
+
+    cyclic = cached_property(closed_under_shift)
 
     def same_codewords(self, other: "LinearCode") -> bool:
         if (self.n, self.k) != (other.n, other.k):
@@ -231,25 +246,49 @@ def _stack_columns(vectors, n: int) -> np.ndarray:
 # -- weight enumerator algebra ------------------------------------------------
 
 def macwilliams_transform(counts, n: int, k: int) -> tuple[int, ...]:
-    """Weight distribution of the dual of an (n, k) code with distribution `counts`."""
+    """Weight distribution of the dual of an (n, k) code with distribution `counts`,
+    B_j = 2^-k sum_w A_w K_j(w), the Krawtchouk values by the exact recurrence
+    (j+1) K_{j+1} = (n-2w) K_j - (n-j+1) K_{j-1} from K_{-1} = 0, K_0 = 1."""
     counts = tuple(int(x) for x in counts)
     if len(counts) != n + 1 or any(x < 0 for x in counts):
         raise ValueError(f"need {n + 1} nonnegative counts")
     if sum(counts) != 1 << k:
         raise ValueError(f"counts sum to {sum(counts)}, expected 2^{k}")
+    totals = [0] * (n + 1)
+    for w, a_w in enumerate(counts):
+        if not a_w:
+            continue
+        prev, kraw = 0, 1
+        for j in range(n + 1):
+            totals[j] += a_w * kraw
+            prev, kraw = kraw, ((n - 2 * w) * kraw - (n - j + 1) * prev) // (j + 1)
     out = []
-    for j in range(n + 1):
-        total = 0
-        for w, a_w in enumerate(counts):
-            if not a_w:
-                continue
-            kraw = sum((-1) ** i * comb(w, i) * comb(n - w, j - i) for i in range(min(w, j) + 1))
-            total += a_w * kraw
+    for total in totals:
         q, r = divmod(total, 1 << k)
         if r or q < 0:
             raise InvariantViolation("transform produced a non-integral count; input is corrupted")
         out.append(q)
     return tuple(out)
+
+
+def _check_profile(profile, wd) -> None:
+    """Check a nullity profile N[e][j] against the weight distribution A_w.
+
+    The 2^j dependent subsets of a pattern of nullity j are the codewords
+    supported inside it, so for every size e (Greene's identity)
+        sum_j N[e][j] = C(n, e)  and  sum_j N[e][j] 2^j = sum_w A_w C(n-w, e-w).
+    The weight distribution walks no subsets, so this route is independent of
+    the profile's.  It misses changes that keep both sums; the CLI's
+    --self-audit, which rebuilds every entry set by set, sees those.
+    """
+    n = len(wd) - 1
+    for e, row in enumerate(profile):
+        got = (sum(row), sum(count << j for j, count in enumerate(row)))
+        want = (comb(n, e), sum(wd[w] * comb(n - w, e - w) for w in range(e + 1)))
+        if got != want:
+            raise InvariantViolation(
+                f"nullity profile disagrees with the weight distribution at e={e}: "
+                f"(patterns, supported codewords) = {got} from the profile, {want} from A_w")
 
 
 # -- GF(2) polynomial arithmetic (ints, bit i = coefficient of x^i) ------------
@@ -355,7 +394,7 @@ def cyclic_code(n: int, generator_poly: int, *, name: str = "") -> LinearCode:
     H = np.zeros((n, n - k), dtype=np.uint8)
     for j in range(n - k):
         H[:, j] = gf2.unpack_vector(hstar << j, n)
-    return LinearCode(G, H, name=name or f"cyclic({n},{generator_poly:#b})", cyclic=True)
+    return LinearCode(G, H, name=name or f"cyclic({n},{generator_poly:#b})")
 
 
 def hamming(m: int) -> LinearCode:

@@ -193,8 +193,8 @@ def lwc_from_lrc(h_lrc) -> LinearCode:
     minimum distance and rewriting locality one less than the dual distance.
     """
     h_lrc = gf2.as_bit_matrix(h_lrc)
-    code = LinearCode.from_parity(h_lrc, name="lwc_from_lrc", cyclic=True)
-    if not code.closed_under_shift():
+    code = LinearCode.from_parity(h_lrc, name="lwc_from_lrc")
+    if not code.cyclic:
         raise ConstructionError("parity-check matrix does not define a cyclic code")
     return code
 

@@ -210,16 +210,17 @@ def test_code_info_keeps_weight_rows(capsys):
 
 
 def shift_profile_row(monkeypatch, e, shift):
-    """Add `shift` entrywise to row e of every code's H-side nullity profile."""
-    real = codes.LinearCode.h_nullity_profile.func
+    """Add `shift` entrywise to row e of every table the subset walk returns,
+    so the check made when a code's profile is built is what sees it."""
+    walk = gf2.nullity_profile
 
-    def corrupted(self):
-        profile = [list(row) for row in real(self)]
+    def corrupted(rows, width):
+        profile = [list(row) for row in walk(rows, width)]
         for j, delta in enumerate(shift):
             profile[e][j] += delta
         return tuple(map(tuple, profile))
 
-    monkeypatch.setattr(codes.LinearCode, "h_nullity_profile", property(corrupted))
+    monkeypatch.setattr(gf2, "nullity_profile", corrupted)
 
 
 def test_duality_checks_against_the_generator_route(capsys, monkeypatch):
@@ -315,6 +316,49 @@ def test_exhaustive_duality_walks_one_profile(capsys, monkeypatch):
     rc, _ = run_cli(["duality", "--code", "hamming:3", "--alpha", "0.1:0.4:0.1"], capsys)
     assert rc == 0
     assert widths == [3]  # H's n - k columns, once for the four points and both sides
+
+
+def test_exhaustive_duality_checks_the_profile_once(capsys, monkeypatch):
+    checks = []
+    check = codes._check_profile
+    monkeypatch.setattr(codes, "_check_profile",
+                        lambda profile, wd: checks.append(1) or check(profile, wd))
+    rc, _ = run_cli(["duality", "--code", "bch:4,2", "--alpha", "0.05:0.2:0.05"], capsys)
+    assert rc == cli.EXIT_OK
+    assert len(checks) == 1  # when the profile is built, not at each of the 8 reads
+
+
+@pytest.mark.parametrize("args", [
+    ["duality", "--code", "hamming:3", "--mode", "monte_carlo", "--trials", "10"],
+    ["lwc-audit", "--code", "two_block:8", "--mode", "monte_carlo", "--trials", "5"],
+    ["quaternity", "--code", "two_block:10", "--alpha", "0.5", "--trials", "5"],
+    ["code-info", "--code", "hamming:3"],
+])
+def test_self_audit_is_rejected_where_nothing_is_audited(capsys, args):
+    assert cli.main(args) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(args + ["--self-audit"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: self_audit: applies only to bounds and to duality "
+                                   "in exhaustive mode")
+
+
+def test_self_audit_key_is_rejected_where_nothing_is_audited(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("code = hamming:3\nself_audit = true\n")
+    assert cli.main(["code-info", "--config", str(path)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: self_audit: ")
+
+
+def test_bounds_self_audit_beyond_the_exhaustive_cap_exits_2(capsys):
+    rc, out = run_cli(["bounds", "--code", "hamming:5"], capsys)
+    assert rc == cli.EXIT_OK and {row["exact"] for row in parse_csv(out)} == {""}
+    assert cli.main(["bounds", "--code", "hamming:5", "--self-audit"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: self_audit: ") and "EXHAUSTIVE_CAP = 20, got n=31" in err
+    rc, out = run_cli(["bounds", "--code", "bch:4,2", "--self-audit"], capsys)
+    assert rc == cli.EXIT_OK and "" not in {row["exact"] for row in parse_csv(out)}
 
 
 def test_mde_invariant_exits_3(capsys, monkeypatch):
@@ -602,9 +646,10 @@ def test_readme_caps_exist_with_their_stated_values():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Enumeration caps", 1)[1].split("\n### ", 1)[0]
     named = re.findall(r"`(\w+)\.([A-Z_]+)` \((\d+)(?:\^(\d+))?\)", section)
-    assert {(module, name) for module, name, *_ in named} >= {
-        ("codes", "ENUM_CAP"), ("cli", "AUDIT_CAP"), ("cli", "LWC_AUDIT_CAP"),
-        ("bec", "EXHAUSTIVE_CAP")}
+    defined = {(path.stem, name) for path in Path(cli.__file__).parent.glob("*.py")
+               for name in re.findall(r"^(\w+_CAP) = ", path.read_text(encoding="utf-8"), re.M)}
+    assert ("codes", "EXHAUSTIVE_CAP") in defined
+    assert {(module, name) for module, name, *_ in named} >= defined
     for module, name, base, power in named:
         stated = int(base) ** int(power or 1)
         assert getattr(importlib.import_module(f"defectlab.{module}"), name) == stated, name

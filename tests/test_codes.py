@@ -1,11 +1,14 @@
 import hashlib
 import itertools
+import time
+from math import comb
 
 import numpy as np
 import pytest
 
 from defectlab import codes, gf2
 from defectlab.errors import CapacityError, ConstructionError, InvariantViolation
+from test_acceptance import roster
 
 
 def enumerate_weights(code):
@@ -132,6 +135,35 @@ def test_macwilliams_rejects_corrupted_counts():
         codes.macwilliams_transform((1, 3, 0, 0), 3, 2)
 
 
+def macwilliams_sum_oracle(counts, n, k):
+    """Reference transform, independent of the recurrence: each Krawtchouk
+    value is its own alternating sum of binomials."""
+    out = []
+    for j in range(n + 1):
+        total = 0
+        for w, a_w in enumerate(counts):
+            if not a_w:
+                continue
+            kraw = sum((-1) ** i * comb(w, i) * comb(n - w, j - i) for i in range(min(w, j) + 1))
+            total += a_w * kraw
+        q, r = divmod(total, 1 << k)
+        assert not r and q >= 0
+        out.append(q)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("family, params", [
+    ("bch", (8, 2)), ("hamming", (8,)), ("bch", (7, 3)), ("rm", (2, 4)), ("rm", (1, 5)),
+    ("bch", (4, 2)), ("hamming", (3,)), ("two_block", (10,)), ("repetition", (7,))])
+def test_macwilliams_recurrence_matches_the_binomial_sums(family, params):
+    code = codes.build(family, *params)
+    small = code if code.k <= code.n - code.k else code.dual()  # the side that is enumerated
+    counts = small.weight_distribution()
+    expected = macwilliams_sum_oracle(counts, code.n, small.k)
+    assert codes.macwilliams_transform(counts, code.n, small.k) == expected
+    assert sum(expected) == 1 << (code.n - small.k)
+
+
 @pytest.mark.parametrize("code", [c for c in SMALL_CODES if c.n <= 15], ids=lambda c: c.name)
 def test_macwilliams_matches_dual_enumeration(code):
     transformed = codes.macwilliams_transform(code.weight_distribution(), code.n, code.k)
@@ -155,6 +187,49 @@ def test_cyclic_families_closed_under_shift(code):
 
 def test_two_block_not_cyclic():
     assert not codes.two_block(8).closed_under_shift()
+
+
+NEWLY_CYCLIC = ([codes.reed_muller(r, m) for m in range(1, 6) for r in sorted({0, m - 1, m})]
+                + [codes.lrc_pyramid(6, 1)])
+
+
+@pytest.mark.parametrize("code", roster() + NEWLY_CYCLIC, ids=lambda c: c.name)
+def test_cyclic_is_derived_from_the_code(code):
+    """`cyclic` equals closed_under_shift() and the check that H annihilates
+    every shifted generator column, for the code and its dual."""
+    for side in (code, code.dual()):
+        shifted_in_code = not np.any(gf2.mat_mul(side.H.T, np.roll(side.G, 1, axis=0)))
+        assert side.cyclic == side.closed_under_shift() == shifted_in_code
+    if code in NEWLY_CYCLIC:
+        assert code.cyclic and code.dual().cyclic
+
+
+def test_reloaded_code_is_cyclic(tmp_path):
+    path = tmp_path / "hamming3.txt"
+    codes.save_code(codes.hamming(3), path)
+    assert codes.load_code(path).cyclic
+
+
+def test_cyclic_cannot_be_declared():
+    code = codes.hamming(3)
+    with pytest.raises(TypeError):
+        codes.LinearCode(code.G, code.H, cyclic=True)
+
+
+def test_exhaustive_cap_is_read_on_every_access(monkeypatch):
+    code = codes.hamming(3)
+    assert sum(map(sum, code.h_nullity_profile)) == 1 << 7
+    monkeypatch.setattr(codes, "EXHAUSTIVE_CAP", 6)
+    with pytest.raises(CapacityError, match="EXHAUSTIVE_CAP = 6, got n=7"):
+        code.h_nullity_profile
+
+
+def test_profile_beyond_the_cap_raises_at_once():
+    code = codes.hamming(6)
+    started = time.perf_counter()
+    with pytest.raises(CapacityError, match="EXHAUSTIVE_CAP = 20, got n=63; use monte_carlo mode"):
+        code.h_nullity_profile
+    assert time.perf_counter() - started < 1
 
 
 def test_enumeration_cap_is_named(monkeypatch):
