@@ -133,11 +133,6 @@ def _check_batch(code: LinearCode, messages, states) -> tuple[np.ndarray, np.nda
     return messages, gf2.as_ternary_rows(states, code.n, messages.shape[0], "NORMAL")
 
 
-def _packed_states(states: np.ndarray):
-    """Per row: the cells stuck at one and the defect cells, as packed ints."""
-    return zip(gf2.pack_rows(states == 1), gf2.pack_rows(states != NORMAL))
-
-
 def additive_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutcome:
     """Mask defects by solving for a parity vector; free parities default to 0.
 
@@ -156,25 +151,20 @@ def additive_encode_batch(code: LinearCode, messages, states) -> EncodeBatch:
 
 def _additive_rows(code: LinearCode, messages: np.ndarray, states: np.ndarray) -> EncodeBatch:
     base = code.embed(messages)
-    columns = code.h_cols_packed
-    words, parities, residuals = [], [], []
-    for word, (stuck, defects) in zip(gf2.pack_rows(base), _packed_states(states)):
-        parity = rest = _mask_packed(code, defects, word ^ stuck).particular
-        while rest:  # word ^= H @ parity, one column per set bit
-            low = rest & -rest
-            word ^= columns[low.bit_length() - 1]
-            rest ^= low
-        words.append(word)
-        parities.append(parity)
-        residuals.append(((word ^ stuck) & defects).bit_count())
-    return EncodeBatch(gf2.unpack_rows(words, code.n), gf2.unpack_rows(parities, code.n - code.k),
-                       np.array(residuals))
+    solves = list(_masking_solves(code, base, states))
+    parities = gf2.unpack_rows([sol.particular for sol in solves], code.n - code.k)
+    return EncodeBatch(base ^ gf2.mat_mul(parities, code.H.T), parities,
+                       np.array([len(sol.violated) for sol in solves]))
 
 
-def _mask_packed(code: LinearCode, defects: int, target: int) -> gf2.PackedSolution:
-    """Parity word p with (H p)_i = bit i of `target` on every defect cell i
-    (a bit mask); it is consistent exactly when the defects can be masked."""
-    return gf2.solve_packed(code.h_rows_packed, code.n - code.k, target, defects)
+def _masking_solves(code: LinearCode, words: np.ndarray, states: np.ndarray):
+    """Per row: the parity word p with (H p)_i = word_i ^ s_i on every defect
+    cell i, earlier cells first.  It is consistent exactly when the row's
+    defects can be masked, and word ^ H p misses exactly the cells in
+    `violated`, the pins the solve dropped."""
+    targets = gf2.pack_rows(words ^ (states == 1))
+    for target, defects in zip(targets, gf2.pack_rows(states != NORMAL)):
+        yield gf2.solve_packed(code.h_rows_packed, code.n - code.k, target, defects)
 
 
 def mde_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutcome:
@@ -182,7 +172,7 @@ def mde_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutco
     smallest parity."""
     width = code.n - code.k
     if width > MDE_CAP:
-        raise CapacityError(f"n-k={width} exceeds the exhaustive parity cap {MDE_CAP}")
+        raise CapacityError(f"n-k={width} exceeds the exhaustive parity cap MDE_CAP = {MDE_CAP}")
     message = _check_instance(code, message, pattern)
     base = code.embed(message)
     target, defects = gf2.pack_words(np.stack([base ^ (pattern.s == 1), pattern.s != NORMAL]))
@@ -220,18 +210,17 @@ def binning_encode_batch(code: LinearCode, messages, states) -> EncodeBatch:
 def _binning_rows(code: LinearCode, messages: np.ndarray, states: np.ndarray) -> EncodeBatch:
     # Row k + i of the system pins cell i.  A row's bit mask picks the k
     # syndrome rows and its stuck cells, so the solve takes the syndrome
-    # equations first, then one pin per stuck cell in coordinate order.
+    # equations first, then one pin per stuck cell in coordinate order; the
+    # syndromes are independent, so every dropped equation is a pin.
     n, k = code.n, code.k
     rows = [*code.decode_rows_packed, *(1 << i for i in range(n))]
     syndromes = (1 << k) - 1
-    words, residuals = [], []
-    for message, (stuck, defects) in zip(gf2.pack_rows(messages), _packed_states(states)):
-        word = gf2.solve_packed(rows, n, message | stuck << k, syndromes | defects << k).particular
-        words.append(word)
-        residuals.append(((word ^ stuck) & defects).bit_count())
-    codewords = gf2.unpack_rows(words, n)
+    stuck, defects = gf2.pack_rows(states == 1), gf2.pack_rows(states != NORMAL)
+    solves = [gf2.solve_packed(rows, n, message | s << k, syndromes | d << k)
+              for message, s, d in zip(gf2.pack_rows(messages), stuck, defects)]
+    codewords = gf2.unpack_rows([sol.particular for sol in solves], n)
     parities = gf2.mat_mul(codewords ^ code.embed(messages), code.h_left_inverse.T)
-    return EncodeBatch(codewords, parities, np.array(residuals))
+    return EncodeBatch(codewords, parities, np.array([len(sol.violated) for sol in solves]))
 
 
 def decode(code: LinearCode, y) -> np.ndarray:
@@ -269,11 +258,10 @@ def enc_failure_prob(code: LinearCode, beta, mode: str = "exhaustive", *,
 def _mc_masking_failures(code: LinearCode, beta: float, trials: int,
                          rng: np.random.Generator) -> int:
     """Message/state trials: messages, defects and stuck values are drawn in
-    bulk, then each trial is one call of the masking kernel."""
+    bulk, then each trial is one solve of the additive encoder's loop."""
     n, k = code.n, code.k
     messages = rng.integers(0, 2, (trials, k), dtype=np.uint8)
-    defect_masks = (rng.random((trials, n)) < beta).astype(np.uint8)
+    defect_masks = rng.random((trials, n)) < beta
     stuck_values = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    targets = gf2.pack_rows(code.embed(messages) ^ stuck_values)
-    return sum(not _mask_packed(code, defects, target).consistent
-               for target, defects in zip(targets, gf2.pack_rows(defect_masks)))
+    states = np.where(defect_masks, stuck_values.astype(np.int8), NORMAL)
+    return sum(not sol.consistent for sol in _masking_solves(code, code.embed(messages), states))

@@ -44,6 +44,8 @@ class LinearCode:
     def __init__(self, G, H=None, *, name: str = ""):
         G = gf2.as_bit_matrix(G).copy()  # frozen below; the caller's array stays writable
         n, k = G.shape
+        if n == 0:
+            raise ConstructionError("a code needs blocklength n >= 1, got n=0")
         if H is None:
             H = _stack_columns(gf2.nullspace(G.T), n)
         H = gf2.as_bit_matrix(H).copy()
@@ -100,7 +102,8 @@ class LinearCode:
 
     @property
     def decode_map(self) -> np.ndarray:
-        """k x n matrix M with M @ c = m for every codeword; M[:, info] = I."""
+        """k x n matrix M with M[:, info] = I and M @ H = 0, so M reads the
+        message back from embed(m) ^ H @ p for every parity p."""
         return self._systematic[1]
 
     def embed(self, message) -> np.ndarray:
@@ -130,11 +133,6 @@ class LinearCode:
     @cached_property
     def h_rows_packed(self) -> list[int]:
         return gf2.pack_rows(self.H)
-
-    @cached_property
-    def h_cols_packed(self) -> list[int]:
-        """The columns of H, which generate the masking code, as n-bit words."""
-        return gf2.pack_rows(self.H.T)
 
     @property
     def h_nullity_profile(self) -> tuple[tuple[int, ...], ...]:
@@ -176,7 +174,7 @@ class LinearCode:
         per code; the cap is read on every call."""
         width = self.n - self.k
         if width > ENUM_CAP:
-            raise CapacityError(f"n-k={width} exceeds enumeration cap {ENUM_CAP}")
+            raise CapacityError(f"n-k={width} exceeds enumeration cap ENUM_CAP = {ENUM_CAP}")
         return self._masking_words
 
     @cached_property
@@ -188,7 +186,7 @@ class LinearCode:
     def codewords(self):
         """All 2^k codewords; the i-th sums the columns of G at the set bits of i."""
         if self.k > ENUM_CAP:
-            raise CapacityError(f"k={self.k} exceeds enumeration cap {ENUM_CAP}")
+            raise CapacityError(f"k={self.k} exceeds enumeration cap ENUM_CAP = {ENUM_CAP}")
         for block in gf2.span_words(self.G.T):
             yield from gf2.unpack_words(block, self.n)
 
@@ -200,7 +198,8 @@ class LinearCode:
         """
         if min(self.k, self.n - self.k) > ENUM_CAP:
             raise CapacityError(
-                f"both k={self.k} and n-k={self.n - self.k} exceed enumeration cap {ENUM_CAP}")
+                f"both k={self.k} and n-k={self.n - self.k} exceed enumeration cap "
+                f"ENUM_CAP = {ENUM_CAP}")
         return self._weight_distribution
 
     @cached_property
@@ -518,9 +517,12 @@ def from_text(text: str, *, name: str = "") -> LinearCode:
         n, k = (int(tok) for tok in lines[0].split())
     except ValueError:
         raise ValueError(f"bad header {lines[0]!r}; expected 'n k'") from None
+    # A block of width 0 is written as n blank lines, which are skipped here.
+    g_rows, h_rows = (n if k else 0), (n if n - k else 0)
     body = lines[1:]
-    if len(body) not in (n, 2 * n):
-        raise ValueError(f"expected {n} G rows (and optionally {n} H rows), got {len(body)} rows")
+    if len(body) not in (g_rows, g_rows + h_rows):
+        raise ValueError(f"expected {g_rows} G rows (and optionally {h_rows} H rows), "
+                         f"got {len(body)} rows")
 
     def parse_block(rows, width):
         block = np.zeros((n, width), dtype=np.uint8)
@@ -530,8 +532,8 @@ def from_text(text: str, *, name: str = "") -> LinearCode:
             block[i] = [int(ch) for ch in row]
         return block
 
-    G = parse_block(body[:n], k)
-    H = parse_block(body[n:], n - k) if len(body) == 2 * n else None
+    G = parse_block(body[:g_rows], k)
+    H = parse_block(body[g_rows:], n - k) if len(body) > g_rows else None
     return LinearCode(G, H, name=name or f"code({n},{k})")
 
 

@@ -18,6 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import CapacityError
+
 #: Largest solution-space dimension that `SolutionSpace.solutions` enumerates.
 SOLUTION_CAP = 20
 
@@ -161,6 +163,8 @@ class PackedSolution:
     holds the right-hand side.  When the system is inconsistent, `particular`
     still solves the subsystem of equations kept by priority order;
     `violated` lists the indices of the dropped (unsatisfiable) equations.
+    Each dropped equation sums kept ones with the opposite right-hand side,
+    so `particular` misses exactly the equations in `violated`.
     `particular` and the free-variable `basis` are built on first access.
     """
 
@@ -246,7 +250,8 @@ class SolutionSpace:
         if self.particular is None:
             return
         if self.dimension > SOLUTION_CAP:
-            raise ValueError(f"solution space dimension {self.dimension} exceeds cap {SOLUTION_CAP}")
+            raise CapacityError(f"solution space dimension {self.dimension} exceeds "
+                                f"SOLUTION_CAP = {SOLUTION_CAP}")
         for mask in range(1 << self.dimension):
             x = self.particular.copy()
             for j, vec in enumerate(self.basis):

@@ -48,6 +48,7 @@ def masking_words_oracle(code):
     """Every sum of the columns of H, built by doubling a list of ints, so
     word i sums the columns at the set bits of i."""
     words = [0]
-    for column in code.h_cols_packed:
-        words += [word ^ column for word in words]
+    for column in code.H.T:
+        packed = gf2.pack_vector(column)
+        words += [word ^ packed for word in words]
     return words

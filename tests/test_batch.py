@@ -246,7 +246,7 @@ def test_masking_words_are_built_once_and_read_the_cap(monkeypatch):
     assert gf2.pack_rows(gf2.unpack_words(words, code.n)) == walk
     assert lwc.masking_codeword_ints(code) == walk
     monkeypatch.setattr(codes, "ENUM_CAP", 7)
-    with pytest.raises(codes.CapacityError, match="n-k=8 exceeds enumeration cap 7"):
+    with pytest.raises(codes.CapacityError, match="n-k=8 exceeds enumeration cap ENUM_CAP = 7"):
         code.masking_words()
 
 

@@ -162,7 +162,7 @@ def test_mde_finds_global_minimum():
 
 def test_mde_cap(monkeypatch):
     monkeypatch.setattr(bdc, "MDE_CAP", 2)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="n-k=3 exceeds the exhaustive parity cap MDE_CAP = 2"):
         bdc.mde_encode(codes.hamming(3), np.zeros(4, dtype=np.uint8),
                        bdc.DefectPattern.all_normal(7))
 

@@ -141,6 +141,16 @@ def test_flags_override_config(tmp_path, capsys):
     assert parse_csv(out)[0]["code"] == "two_block(8)"
 
 
+@pytest.mark.parametrize("verb", ["code-info", "duality", "bounds", "lwc-audit", "quaternity"])
+def test_zero_length_file_code_exits_2(verb, tmp_path, capsys):
+    path = tmp_path / "empty.code"
+    path.write_text("0 0\n")
+    rc = cli.main([verb, "--code", f"file:{path}"])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert "error: code: a code needs blocklength n >= 1" in err and "Traceback" not in err
+
+
 def test_jsonl_format(capsys):
     import json
 
@@ -199,7 +209,7 @@ def test_code_info_names_the_cap_when_rows_are_omitted(capsys):
     assert [r["side"] for r in rows] == ["n", "k", "rate", "cyclic"]
     notes = [line for line in captured.err.splitlines() if not line.startswith("#")]
     assert len(notes) == 1
-    assert "d and weight rows omitted" in notes[0] and "enumeration cap 24" in notes[0]
+    assert "d and weight rows omitted" in notes[0] and "ENUM_CAP = 24" in notes[0]
 
 
 def test_code_info_keeps_weight_rows(capsys):

@@ -235,7 +235,7 @@ def test_profile_beyond_the_cap_raises_at_once():
 def test_enumeration_cap_is_named(monkeypatch):
     code = codes.reed_muller(2, 5)  # k = 16
     monkeypatch.setattr(codes, "ENUM_CAP", 10)
-    with pytest.raises(CapacityError, match="cap 10"):
+    with pytest.raises(CapacityError, match="ENUM_CAP = 10"):
         code.weight_distribution()
 
 
@@ -276,6 +276,7 @@ def test_info_positions_identity_block():
         m = code.decode_map
         eye = m[:, list(code.info_positions)]
         assert np.array_equal(eye, np.eye(code.k, dtype=np.uint8))
+        assert not gf2.mat_mul(m, code.H).any()
         # decode_map reads an embedded message through any masking word
         rng = np.random.default_rng(1)
         msg = rng.integers(0, 2, code.k, dtype=np.uint8)
@@ -304,7 +305,9 @@ def test_h_left_inverse():
 
 
 def test_text_round_trip():
-    for code in SMALL_CODES:
+    # k = 0 leaves the generator block empty, k = n the parity block.
+    width_zero = [codes.reed_muller(3, 3).dual(), codes.reed_muller(3, 3)]
+    for code in SMALL_CODES + width_zero:
         text = codes.to_text(code)
         back = codes.from_text(text)
         assert np.array_equal(back.G, code.G)
@@ -318,6 +321,14 @@ def test_text_without_parity_block():
     back = codes.from_text(g_only)
     assert np.array_equal(back.G, code.G)
     assert back.same_codewords(code)
+    assert codes.from_text("3 0\n").H.shape == (3, 3)
+
+
+def test_zero_length_code_is_rejected():
+    with pytest.raises(ConstructionError, match="n >= 1"):
+        codes.LinearCode(np.zeros((0, 0), dtype=np.uint8))
+    with pytest.raises(ConstructionError, match="n >= 1"):
+        codes.from_text("0 0\n")
 
 
 def test_text_rejects_garbage():
@@ -351,9 +362,9 @@ def test_cap_is_checked_on_every_call(monkeypatch):
     assert code.weight_distribution() == (1, 0, 0, 7, 7, 0, 0, 1)
     assert code.min_distance() == 3
     monkeypatch.setattr(codes, "ENUM_CAP", 1)
-    with pytest.raises(CapacityError, match="cap 1"):
+    with pytest.raises(CapacityError, match="ENUM_CAP = 1"):
         code.weight_distribution()
-    with pytest.raises(CapacityError, match="cap 1"):
+    with pytest.raises(CapacityError, match="ENUM_CAP = 1"):
         code.min_distance()
 
 

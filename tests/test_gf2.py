@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defectlab import gf2
+from defectlab.errors import CapacityError
 
 
 def brute_force_solutions(a, b):
@@ -175,5 +176,5 @@ def test_solution_cap_is_read_on_every_call(monkeypatch):
     space = gf2.solve(np.zeros((1, 3), dtype=np.uint8), [0])
     assert len(list(space.solutions())) == 8
     monkeypatch.setattr(gf2, "SOLUTION_CAP", 2)
-    with pytest.raises(ValueError, match="dimension 3 exceeds cap 2"):
+    with pytest.raises(CapacityError, match="dimension 3 exceeds SOLUTION_CAP = 2"):
         list(space.solutions())

@@ -133,6 +133,9 @@ def test_masked_solve_matches_brute_force(system):
     assert sol.consistent == (not violated)
     assert sol.violated == violated
     assert sol.particular in survivors
+    missed = [i for i, row in enumerate(rows)
+              if (use >> i) & 1 and parity(row & sol.particular) != (rhs >> i) & 1]
+    assert missed == sol.violated
     assert sol.rank + len(sol.basis) == ncols
     span = {0}
     for vec in sol.basis:

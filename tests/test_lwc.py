@@ -279,7 +279,7 @@ def test_masking_words_read_the_enumeration_cap(monkeypatch):
     code = codes.bch(4, 2)  # n-k = 8
     assert len(lwc.masking_codeword_ints(code)) == 256
     monkeypatch.setattr(codes, "ENUM_CAP", 7)
-    with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap 7"):
+    with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap ENUM_CAP = 7"):
         lwc.masking_codeword_ints(code)
 
 
@@ -287,5 +287,5 @@ def test_cached_profile_still_reads_the_enumeration_cap(monkeypatch):
     code = codes.bch(4, 2)  # n-k = 8
     assert lwc.rewriting_locality(code).r_star == 3
     monkeypatch.setattr(codes, "ENUM_CAP", 7)
-    with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap 7"):
+    with pytest.raises(CapacityError, match="n-k=8 exceeds enumeration cap ENUM_CAP = 7"):
         lwc.rewriting_locality(code)
