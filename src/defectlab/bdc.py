@@ -158,10 +158,12 @@ def _additive_rows(code: LinearCode, messages: np.ndarray, states: np.ndarray) -
 
 
 def _masking_solves(code: LinearCode, words: np.ndarray, states: np.ndarray):
-    """Per row: the parity word p with (H p)_i = word_i ^ s_i on every defect
-    cell i, earlier cells first.  It is consistent exactly when the row's
-    defects can be masked, and word ^ H p misses exactly the cells in
-    `violated`, the pins the solve dropped."""
+    """Per row of the additive encoder: the parity word p with
+    (H p)_i = word_i ^ s_i on every defect cell i, earlier cells first.  It is
+    consistent exactly when the row's defects can be masked, and word ^ H p
+    misses exactly the cells in `violated`, the pins the solve dropped.  The
+    Monte Carlo simulator finds the same consistency for a whole chunk of
+    trials with `gf2.pivot_columns`."""
     targets = gf2.pack_rows(words ^ (states == 1))
     for target, defects in zip(targets, gf2.pack_rows(states != NORMAL)):
         yield gf2.solve_packed(code.h_rows_packed, code.n - code.k, target, defects)
@@ -258,10 +260,12 @@ def enc_failure_prob(code: LinearCode, beta, mode: str = "exhaustive", *,
 def _mc_masking_failures(code: LinearCode, beta: float, trials: int,
                          rng: np.random.Generator) -> int:
     """Message/state trials: messages, defects and stuck values are drawn in
-    bulk, then each trial is one solve of the additive encoder's loop."""
+    bulk, and one batched elimination of H's rows on each trial's defects,
+    with right-hand side word ^ stuck value, finds the trials that cannot be
+    masked: those whose right-hand side bit is a pivot."""
     n, k = code.n, code.k
     messages = rng.integers(0, 2, (trials, k), dtype=np.uint8)
-    defect_masks = rng.random((trials, n)) < beta
-    stuck_values = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-    states = np.where(defect_masks, stuck_values.astype(np.int8), NORMAL)
-    return sum(not sol.consistent for sol in _masking_solves(code, code.embed(messages), states))
+    defects = rng.random((trials, n)) < beta
+    stuck = rng.integers(0, 2, (trials, n), dtype=np.uint8)
+    pivots = gf2.pivot_columns(code.h_rows_packed, n - k, defects, code.embed(messages) != stuck)
+    return int(pivots[:, n - k].sum())

@@ -228,14 +228,39 @@ def channel_failure_prob(code: LinearCode, p, name: str, mode: str, trials: int,
 
 def _mc_decode_failures(code: LinearCode, alpha: float, trials: int,
                         rng: np.random.Generator) -> int:
-    """Encode/erase/decode trials: messages and erasures are drawn in bulk,
-    then each trial is one call of the decode kernel."""
-    messages = rng.integers(0, 2, (trials, code.k), dtype=np.uint8)
-    codewords = gf2.pack_rows(gf2.mat_mul(messages, code.G.T))
-    erased = gf2.pack_rows((rng.random((trials, code.n)) < alpha).astype(np.uint8))
-    full = (1 << code.n) - 1
-    return sum(_decode_packed(code, full ^ mask, codeword, rng)[0] != message
-               for message, codeword, mask in zip(gf2.pack_rows(messages), codewords, erased))
+    """Encode/erase/decode trials: messages and erasures are drawn in bulk, and
+    one batched elimination of G's kept rows finds each trial's free message
+    bits, the columns that are not pivots.
+
+    A trial with none decodes to its message and draws nothing.  Each other
+    trial, in order, draws its tie-break as `_decode_packed` does, and fails
+    exactly when the draw differs from the message's bits at its free columns,
+    packed in increasing order: the particular solution is 0 at the free
+    columns, and basis vector i is 1 at free column i alone.
+    """
+    k = code.k
+    messages = rng.integers(0, 2, (trials, k), dtype=np.uint8)
+    codewords = gf2.mat_mul(messages, code.G.T)
+    kept = rng.random((trials, code.n)) >= alpha
+    pivots = gf2.pivot_columns(code.g_rows_packed, k, kept, codewords == 1)
+    if pivots[:, k].any():
+        raise InvariantViolation("received word agrees with no codeword; input is corrupted")
+    free = ~pivots[:, :k]
+    tied = free.any(axis=1)
+    return sum(_random_bits(rng, mask.bit_count()) != _bits_at(message, mask)
+               for message, mask in zip(gf2.pack_rows(messages[tied]), gf2.pack_rows(free[tied])))
+
+
+def _bits_at(word: int, mask: int) -> int:
+    """The bits of `word` at the set bits of `mask`, packed from bit 0 up."""
+    out = i = 0
+    while mask:
+        low = mask & -mask
+        if word & low:
+            out |= 1 << i
+        mask ^= low
+        i += 1
+    return out
 
 
 def _random_bits(rng: np.random.Generator, width: int) -> int:

@@ -462,6 +462,10 @@ def cmd_code_info(opts: argparse.Namespace) -> list[ResultRow]:
     rows = [_row(opts, "n", 0, code.n), _row(opts, "k", 0, code.k),
             _row(opts, "rate", 0, code.rate, str(Fraction(code.k, code.n))),
             _row(opts, "cyclic", 0, code.cyclic)]
+    if not code.k:
+        print("note: d and weight rows omitted: the zero code has no nonzero codewords",
+              file=sys.stderr)
+        return rows
     try:
         d = code.min_distance()
         wd = code.weight_distribution()

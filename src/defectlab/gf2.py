@@ -5,8 +5,10 @@ packed into Python integers (bit j of a row word = column j), so a row XOR is
 one word-parallel big-int operation.  `solve_packed` is the one elimination
 loop: solving, rank, reduced row echelon form and inversion all run through
 it.  It pivots on the first set bit of each row, scanning columns first to
-last.  `span_words` is the one span enumerator: every scan of a code's
-codewords or masking words reads it.
+last.  `pivot_columns` finds the same pivots for many masked systems on one
+row list at once; both Monte Carlo simulators read their trials off it.
+`span_words` is the one span enumerator: every scan of a code's codewords or
+masking words reads it.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from .errors import CapacityError
 #: Largest solution-space dimension that `SolutionSpace.solutions` enumerates.
 SOLUTION_CAP = 20
 
-#: Rows per block of `span_words`, and candidate words per step of the rewrite
-#: kernel, so each temporary holds about SPAN_BLOCK words (64 KiB at one
-#: uint64 per word) whatever the span's size.
+#: Rows per block of `span_words`, candidate words per step of the rewrite
+#: kernel, and row words per block of `pivot_columns`, so each temporary holds
+#: about SPAN_BLOCK words (64 KiB at one uint64 per word) whatever the span's
+#: size or the batch's.
 SPAN_BLOCK = 1 << 13
 
 
@@ -227,6 +230,43 @@ def solve_packed(rows: Sequence[int], ncols: int, rhs: int,
                 pivots[c] = pivot_row ^ word
         pivots[col] = word
     return PackedSolution(pivots, ncols, violated)
+
+
+def pivot_columns(rows: Sequence[int], width: int, use: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The pivot columns of T masked systems on one row list, found together.
+
+    `use` and `rhs` are T x len(rows) bools: system t takes row i when
+    use[t, i], with rhs[t, i] as its bit `width`.  Row t of the T x (width + 1)
+    bool result marks the pivots of `solve_packed(rows, width, rhs_t, use_t)`,
+    plus column `width` exactly when that system is inconsistent.
+
+    Every system eliminates column by column, first to last: its first row
+    holding the column is the pivot and is XORed into every row holding it,
+    itself included, so it drops out.  The columns found are the lowest set
+    bits of the nonzero words of the rows' span, which are solve_packed's
+    pivots: each of its pivot rows keeps its pivot as its lowest set bit.  The
+    rows, in the `pack_words` layout, are built for a block of systems at a
+    time, about SPAN_BLOCK words per block, and stored word-major: entry
+    [w, t, i] is word w of row i of system t.
+    """
+    template = pack_words(unpack_rows(rows, width + 1)).T  # column `width` is 0 in every row
+    trials = use.shape[0]
+    found = np.zeros((trials, width + 1), dtype=bool)
+    bits = [np.uint64(1 << (63 - col % 64)) for col in range(width + 1)]
+    block = max(1, SPAN_BLOCK // max(1, template.size))
+    for start in range(0, trials, block) if len(rows) else ():  # no rows, no pivots
+        picked = use[start:start + block]
+        system = np.where(picked, template[:, None, :], np.uint64(0))
+        system[width // 64] |= np.where(picked & rhs[start:start + block], bits[width],
+                                        np.uint64(0))
+        index = np.arange(len(picked))
+        for col, bit in enumerate(bits):
+            has = (system[col // 64] & bit) != 0
+            first = has.argmax(axis=1)
+            hit = found[start:start + block, col] = has[index, first]
+            if hit.any():
+                system ^= has * system[:, index, first][:, :, None]
+    return found
 
 
 @dataclass

@@ -212,6 +212,21 @@ def test_code_info_names_the_cap_when_rows_are_omitted(capsys):
     assert "d and weight rows omitted" in notes[0] and "ENUM_CAP = 24" in notes[0]
 
 
+def test_code_info_describes_a_zero_code(tmp_path, capsys):
+    import json
+
+    path = tmp_path / "zero.code"
+    codes.save_code(codes.reed_muller(3, 3).dual(), path)
+    rc = cli.main(["code-info", "--code", f"file:{path}", "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_OK
+    rows = {r["side"]: r for r in map(json.loads, captured.out.splitlines())}
+    assert list(rows) == ["n", "k", "rate", "cyclic"]
+    assert (rows["n"]["estimate"], rows["k"]["estimate"], rows["rate"]["exact"]) == (8, 0, "0")
+    notes = [line for line in captured.err.splitlines() if not line.startswith("#")]
+    assert notes == ["note: d and weight rows omitted: the zero code has no nonzero codewords"]
+
+
 def test_code_info_keeps_weight_rows(capsys):
     rc, out = run_cli(["code-info", "--code", "hamming:3"], capsys)
     assert rc == 0

@@ -1,10 +1,15 @@
-"""The packed solve kernel and the channel kernels built on it.
+"""The packed solve kernels and the channel simulators built on them.
 
-The Monte Carlo simulators draw their samples in bulk and then call the same
-per-trial kernels as the public decoder and encoder, so replaying the bulk
-draws through map_decode_generator and additive_encode must reproduce their
-failure counts and leave the random stream in the same state.
+The Monte Carlo simulators draw their samples in bulk and read every trial's
+outcome off one batched elimination, `gf2.pivot_columns`.  The public decoder
+and encoder solve one instance at a time with `gf2.solve_packed`, so replaying
+the bulk draws through map_decode_generator and additive_encode is an
+independent route: it must reproduce the simulators' failure counts and leave
+the random stream in the same state.
 """
+
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -142,6 +147,47 @@ def test_masked_solve_matches_brute_force(system):
         span |= {x ^ vec for x in span}
     assert len(span) == 1 << len(sol.basis)
     assert {sol.particular ^ x for x in span} == survivors
+
+
+@st.composite
+def batched_systems(draw):
+    """Up to 10 rows of 0 to 130 columns, some of them sums of earlier rows so
+    that systems can be inconsistent, and up to 8 systems' row masks and
+    right-hand sides."""
+    width = draw(st.one_of(st.integers(0, 8), st.integers(9, 130)))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        if rows and draw(st.booleans()):
+            pick = draw(st.integers(1, (1 << len(rows)) - 1))
+            rows.append(reduce(xor, (row for i, row in enumerate(rows) if (pick >> i) & 1)))
+        else:
+            rows.append(draw(st.integers(0, (1 << width) - 1)))
+    trials = draw(st.integers(0, 8))
+    masks = st.lists(st.integers(0, (1 << len(rows)) - 1), min_size=trials, max_size=trials)
+    return rows, width, draw(masks), draw(masks)
+
+
+def bool_rows(masks, m):
+    rows = [[(x >> i) & 1 for i in range(m)] for x in masks]
+    return np.array(rows, dtype=bool).reshape(len(masks), m)
+
+
+@PROPERTIES
+@given(batched_systems())
+def test_pivot_columns_are_the_pivots_of_each_solve(system):
+    """Per system, against solve_packed, with blocks of 1 and of 3 systems."""
+    rows, width, use, rhs = system
+    words_per_system = max(1, len(rows)) * -(-(width + 1) // 64)
+    for per_block in (1, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gf2, "SPAN_BLOCK", per_block * words_per_system)
+            pivots = gf2.pivot_columns(rows, width, bool_rows(use, len(rows)),
+                                       bool_rows(rhs, len(rows)))
+        assert pivots.shape == (len(use), width + 1)
+        for found, u, r in zip(pivots, use, rhs):
+            sol = gf2.solve_packed(rows, width, r, u)
+            assert set(np.flatnonzero(found[:width]).tolist()) == set(sol.pivots)
+            assert found[width] == (not sol.consistent)
 
 
 def test_solve_without_a_mask_uses_every_row():

@@ -1,8 +1,11 @@
-"""Seeded `lwc-audit` and `quaternity` outputs stay byte-identical.
+"""Seeded `lwc-audit`, `quaternity` and Monte Carlo `duality` outputs stay
+byte-identical.
 
-The digests are sha256 of the CSV each command prints, recorded from the
-single-instance encoders before the verbs called the batch entry points.  A
-change to the random stream, to a cost, or to the row layout shows here.
+The digests are sha256 of the CSV each command prints.  The `lwc-audit` and
+`quaternity` ones were recorded from the single-instance encoders before the
+verbs called the batch entry points; the `duality` ones from the per-trial
+solve loops, before the simulators shared one batched pivot kernel.  A change
+to the random stream, to a cost, or to the row layout shows here.
 """
 
 import hashlib
@@ -37,6 +40,15 @@ EXHAUSTIVE = {
     "bch:4,2": "e89aa09cd4162e807343377e44a205f132e1d919e2e68a6d8e38716e4e3c9748",
 }
 
+#: Codes whose packed rows need two uint64 words: the G side of
+#: single_parity(70) has 69 columns and hamming(7) 120, the H side of
+#: repetition(70) 69; each adds the right-hand side's bit.
+WIDE_MONTE_CARLO = {
+    "single_parity:70": (1200, "737e98f3de85fe9d55a9996bd333f3c208af3c5ccf56913931791e832f465750"),
+    "repetition:70": (2000, "13b539a880748fcb022fc848f4295dbd1ceede7d204fdcae9847231c55480f7a"),
+    "hamming:7": (500, "6f9ff54c8cdcfdae0b23683ecee3c45a86cc6dc34eebf60442e56ee87dba58ea"),
+}
+
 
 def digest(argv, capsys):
     assert cli.main(argv) == cli.EXIT_OK
@@ -52,3 +64,12 @@ def test_rewrite_workload_output_is_unchanged(name, seed, capsys):
 @pytest.mark.parametrize("spec", sorted(EXHAUSTIVE))
 def test_exhaustive_lwc_audit_output_is_unchanged(spec, capsys):
     assert digest(["lwc-audit", "--code", spec, "--mode", "exhaustive"], capsys) == EXHAUSTIVE[spec]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("spec", sorted(WIDE_MONTE_CARLO))
+def test_wide_row_monte_carlo_output_is_unchanged(spec, workers, capsys):
+    trials, expected = WIDE_MONTE_CARLO[spec]
+    argv = ["duality", "--code", spec, "--mode", "monte_carlo", "--trials", str(trials),
+            "--seed", "3", "--workers", workers]
+    assert digest(argv, capsys) == expected
