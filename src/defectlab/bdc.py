@@ -150,23 +150,20 @@ def additive_encode_batch(code: LinearCode, messages, states) -> EncodeBatch:
 
 
 def _additive_rows(code: LinearCode, messages: np.ndarray, states: np.ndarray) -> EncodeBatch:
-    base = code.embed(messages)
-    solves = list(_masking_solves(code, base, states))
-    parities = gf2.unpack_rows([sol.particular for sol in solves], code.n - code.k)
-    return EncodeBatch(base ^ gf2.mat_mul(parities, code.H.T), parities,
-                       np.array([len(sol.violated) for sol in solves]))
-
-
-def _masking_solves(code: LinearCode, words: np.ndarray, states: np.ndarray):
-    """Per row of the additive encoder: the parity word p with
-    (H p)_i = word_i ^ s_i on every defect cell i, earlier cells first.  It is
-    consistent exactly when the row's defects can be masked, and word ^ H p
+    """Per row: the parity word p with (H p)_i = base_i ^ s_i on every defect
+    cell i, earlier cells first, where base embeds the message.  It is
+    consistent exactly when the row's defects can be masked, and base ^ H p
     misses exactly the cells in `violated`, the pins the solve dropped.  The
     Monte Carlo simulator finds the same consistency for a whole chunk of
     trials with `gf2.pivot_columns`."""
-    targets = gf2.pack_rows(words ^ (states == 1))
-    for target, defects in zip(targets, gf2.pack_rows(states != NORMAL)):
-        yield gf2.solve_packed(code.h_rows_packed, code.n - code.k, target, defects)
+    base = code.embed(messages)
+    width = code.n - code.k
+    targets, defects = gf2.pack_rows(base ^ (states == 1)), gf2.pack_rows(states != NORMAL)
+    solves = [gf2.solve_packed(code.h_rows_packed, width, target, pins)
+              for target, pins in zip(targets, defects)]
+    parities = gf2.unpack_rows([sol.particular for sol in solves], width)
+    return EncodeBatch(base ^ gf2.mat_mul(parities, code.H.T), parities,
+                       np.array([len(sol.violated) for sol in solves]))
 
 
 def mde_encode(code: LinearCode, message, pattern: DefectPattern) -> EncodeOutcome:

@@ -376,14 +376,8 @@ def _lwc_workload(opts: argparse.Namespace):
     else:
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(0,)))
         for size in _batches(opts.trials):
-            old = np.empty((size, k), dtype=np.uint8)
-            new = np.empty((size, k), dtype=np.uint8)
-            picks = np.empty(size, dtype=np.intp)
-            for t in range(size):
-                old[t] = rng.integers(0, 2, k, dtype=np.uint8)
-                new[t] = rng.integers(0, 2, k, dtype=np.uint8)
-                picks[t] = rng.integers(0, len(patterns))
-            yield old, new, patterns[picks]
+            old, new = rng.integers(0, 2, (2, size, k), dtype=np.uint8)
+            yield old, new, patterns[rng.integers(0, len(patterns), size)]
 
 
 def cmd_lwc_audit(opts: argparse.Namespace) -> list[ResultRow]:
@@ -429,7 +423,7 @@ def cmd_quaternity(opts: argparse.Namespace) -> list[ResultRow]:
         rng = np.random.default_rng(np.random.SeedSequence(opts.seed, spawn_key=(point,)))
         beq_violations = 0
         for size in _batches(opts.trials):
-            samples = np.stack([bridge.sample_source(n, alpha, rng).samples for _ in range(size)])
+            samples = bridge.sample_source(size * n, alpha, rng).samples.reshape(size, n)
             _, distortion = bridge.quantize_batch(code, samples)
             zeros = np.zeros((size, k), dtype=np.uint8)
             maskable = bdc.binning_encode_batch(code, zeros, samples).success  # beq_to_bdc rows
@@ -437,11 +431,8 @@ def cmd_quaternity(opts: argparse.Namespace) -> list[ResultRow]:
         wom_violations = 0
         one_density = 1 - alpha
         for size in _batches(opts.trials):
-            cells = np.empty((size, n), dtype=np.uint8)
-            messages = np.empty((size, k), dtype=np.uint8)
-            for t in range(size):
-                cells[t] = rng.random(n) < one_density
-                messages[t] = rng.integers(0, 2, k, dtype=np.uint8)
+            cells = rng.random((size, n)) < one_density
+            messages = rng.integers(0, 2, (size, k), dtype=np.uint8)
             new_cells, ok = bridge.wom_write_batch(code, cells, messages)
             lowered = (new_cells < cells).any(axis=1)
             misread = (bdc.decode_batch(code, new_cells) != messages).any(axis=1)
