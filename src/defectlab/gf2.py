@@ -6,7 +6,8 @@ one word-parallel big-int operation.  `solve_packed` is the one elimination
 loop: solving, rank, reduced row echelon form and inversion all run through
 it.  It pivots on the first set bit of each row, scanning columns first to
 last.  `pivot_columns` finds the same pivots for many masked systems on one
-row list at once; both Monte Carlo simulators read their trials off it.
+row list at once, bit-sliced 64 systems to a uint64 word; both Monte Carlo
+simulators read their trials off it.
 `span_words` is the one span enumerator: every scan of a code's codewords or
 masking words reads it.
 """
@@ -25,10 +26,10 @@ from .errors import CapacityError
 #: Largest solution-space dimension that `SolutionSpace.solutions` enumerates.
 SOLUTION_CAP = 20
 
-#: Rows per block of `span_words`, candidate words per step of the rewrite
-#: kernel, and row words per block of `pivot_columns`, so each temporary holds
-#: about SPAN_BLOCK words (64 KiB at one uint64 per word) whatever the span's
-#: size or the batch's.
+#: Rows per block of `span_words` and candidate words per step of the rewrite
+#: kernel, so each temporary holds about SPAN_BLOCK words (64 KiB at one uint64
+#: per word) whatever the span's size or the batch's; a block of `pivot_columns`
+#: and each of its temporaries hold about 8 SPAN_BLOCK lane words (512 KiB).
 SPAN_BLOCK = 1 << 13
 
 
@@ -155,8 +156,11 @@ def _all_sums(packed: np.ndarray) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over GF(2)."""
-    return ((a.astype(np.int64) @ b.astype(np.int64)) & 1).astype(np.uint8)
+    """Matrix product over GF(2) on float32 BLAS: a sum of fewer than 2^24 0/1
+    terms is exact, its cast to int32 too, and the cast to uint8 keeps its parity."""
+    if a.shape[-1] >= 1 << 24:
+        raise CapacityError(f"inner dimension {a.shape[-1]} reaches 2^24: float32 sums round")
+    return np.matmul(a, b, dtype=np.float32).astype(np.int32).astype(np.uint8) & 1
 
 
 class PackedSolution:
@@ -245,28 +249,37 @@ def pivot_columns(rows: Sequence[int], width: int, use: np.ndarray, rhs: np.ndar
     itself included, so it drops out.  The columns found are the lowest set
     bits of the nonzero words of the rows' span, which are solve_packed's
     pivots: each of its pivot rows keeps its pivot as its lowest set bit.  The
-    rows, in the `pack_words` layout, are built for a block of systems at a
-    time, about SPAN_BLOCK words per block, and stored word-major: entry
-    [w, t, i] is word w of row i of system t.
+    systems are bit-sliced, in blocks of about 8 SPAN_BLOCK uint64 words: bit b
+    of entry [i, c, l] is column c of row i of system 64 l + b.
     """
-    template = pack_words(unpack_rows(rows, width + 1)).T  # column `width` is 0 in every row
-    trials = use.shape[0]
-    found = np.zeros((trials, width + 1), dtype=bool)
-    bits = [np.uint64(1 << (63 - col % 64)) for col in range(width + 1)]
-    block = max(1, SPAN_BLOCK // max(1, template.size))
-    for start in range(0, trials, block) if len(rows) else ():  # no rows, no pivots
-        picked = use[start:start + block]
-        system = np.where(picked, template[:, None, :], np.uint64(0))
-        system[width // 64] |= np.where(picked & rhs[start:start + block], bits[width],
-                                        np.uint64(0))
-        index = np.arange(len(picked))
-        for col, bit in enumerate(bits):
-            has = (system[col // 64] & bit) != 0
-            first = has.argmax(axis=1)
-            hit = found[start:start + block, col] = has[index, first]
-            if hit.any():
-                system ^= has * system[:, index, first][:, :, None]
-    return found
+    trials, m = use.shape
+    found = np.zeros((width + 1, -(-trials // 64)), dtype="<u8")
+    bits = unpack_rows(rows, width + 1) == 1  # column `width` is 0 in every row
+    lanes, picked = _trial_lanes(use), _trial_lanes(rhs)
+    block = max(1, 8 * SPAN_BLOCK // max(1, bits.size))
+    for start in range(0, found.shape[1], block) if m else ():  # no rows, no pivots
+        system = np.where(bits[:, :, None], lanes[:, None, start:start + block], np.uint64(0))
+        system[:, width] = lanes[:, start:start + block] & picked[:, start:start + block]
+        for col in range(width + 1):
+            has = system[:, col]
+            seen = np.bitwise_or.accumulate(has, axis=0)  # some row up to i holds col
+            found[col, start:start + block] = seen[-1]
+            if col < width and seen[-1].any():
+                first = seen.copy()
+                first[1:] ^= seen[:-1]  # row i is the first row holding col
+                rest = system[:, col + 1:]
+                rest ^= has[:, None] & np.bitwise_or.reduce(first[:, None] & rest, axis=0)
+    return np.unpackbits(found.view(np.uint8), axis=1, count=trials, bitorder="little").view(bool).T
+
+
+def _trial_lanes(a: np.ndarray) -> np.ndarray:
+    """The T x m bools `a` as m x ceil(T / 64) uint64 lanes: bit t % 64 of
+    lane [i, t // 64] is a[t, i]."""
+    trials, m = a.shape
+    padded = np.zeros((-(-trials // 64) * 64, m), dtype=np.uint8)
+    padded[:trials] = a
+    return np.einsum("kbi,b->ik", padded.reshape(len(padded) // 8, 8, m),
+                     1 << np.arange(8, dtype=np.uint8), order="C").view("<u8")
 
 
 @dataclass

@@ -178,3 +178,28 @@ def test_solution_cap_is_read_on_every_call(monkeypatch):
     monkeypatch.setattr(gf2, "SOLUTION_CAP", 2)
     with pytest.raises(CapacityError, match="dimension 3 exceeds SOLUTION_CAP = 2"):
         list(space.solutions())
+
+
+def test_mat_mul_matches_an_int64_product():
+    """Against int64 arithmetic, for 1-D and 2-D operands, including an inner
+    dimension of 300, where a sum can pass the uint8 range; a result stays uint8."""
+    rng = np.random.default_rng(7)
+    for rows, inner, cols in ((5, 7, 3), (40, 300, 9), (1, 0, 4), (3, 300, 1)):
+        a = rng.integers(0, 2, (rows, inner), dtype=np.uint8)
+        b = rng.integers(0, 2, (inner, cols), dtype=np.uint8)
+        for x, y in ((a, b), (a[0], b), (a, b[:, 0]), (a[0], b[:, 0])):
+            product = gf2.mat_mul(x, y)
+            assert product.dtype == np.uint8
+            assert np.array_equal(product, (x.astype(np.int64) @ y.astype(np.int64)) % 2)
+    ones = np.ones((2, 300), dtype=np.uint8)
+    assert gf2.mat_mul(ones, ones[0]).tolist() == [0, 0]  # a sum of 300, past the uint8 range
+    assert gf2.mat_mul(ones[:, :255], ones[0, :255]).tolist() == [1, 1]
+
+
+def test_mat_mul_refuses_an_inner_dimension_float32_cannot_sum_exactly():
+    inner = 1 << 24  # zero-stride operands: nothing of this size is allocated
+    a = np.broadcast_to(np.uint8(1), (1, inner))
+    with pytest.raises(CapacityError, match="2\\^24"):
+        gf2.mat_mul(a, np.broadcast_to(np.uint8(1), (inner,)))
+    with pytest.raises(CapacityError, match="2\\^24"):
+        gf2.mat_mul(a[0], np.broadcast_to(np.uint8(1), (inner, 2)))

@@ -8,6 +8,8 @@ independent route: it must reproduce the simulators' failure counts and leave
 the random stream in the same state.
 """
 
+import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from operator import xor
 
@@ -152,8 +154,9 @@ def test_masked_solve_matches_brute_force(system):
 @st.composite
 def batched_systems(draw):
     """Up to 10 rows of 0 to 130 columns, some of them sums of earlier rows so
-    that systems can be inconsistent, and up to 8 systems' row masks and
-    right-hand sides."""
+    that systems can be inconsistent, and up to 200 systems' row masks and
+    right-hand sides: counts that cross one or two 64-system lanes, and ones
+    that are not a multiple of 64."""
     width = draw(st.one_of(st.integers(0, 8), st.integers(9, 130)))
     rows = []
     for _ in range(draw(st.integers(0, 10))):
@@ -162,7 +165,7 @@ def batched_systems(draw):
             rows.append(reduce(xor, (row for i, row in enumerate(rows) if (pick >> i) & 1)))
         else:
             rows.append(draw(st.integers(0, (1 << width) - 1)))
-    trials = draw(st.integers(0, 8))
+    trials = draw(st.one_of(st.integers(0, 8), st.integers(9, 200)))
     masks = st.lists(st.integers(0, (1 << len(rows)) - 1), min_size=trials, max_size=trials)
     return rows, width, draw(masks), draw(masks)
 
@@ -175,19 +178,39 @@ def bool_rows(masks, m):
 @PROPERTIES
 @given(batched_systems())
 def test_pivot_columns_are_the_pivots_of_each_solve(system):
-    """Per system, against solve_packed, with blocks of 1 and of 3 systems."""
+    """Per system, against solve_packed, with blocks of 1 lane, of 2 lanes
+    and of the default size."""
     rows, width, use, rhs = system
-    words_per_system = max(1, len(rows)) * -(-(width + 1) // 64)
-    for per_block in (1, 3):
+    lane_words = max(1, len(rows)) * (width + 1)  # words per lane of a block
+    for lanes in (1, 2, None):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gf2, "SPAN_BLOCK", per_block * words_per_system)
+            if lanes:
+                patch.setattr(gf2, "SPAN_BLOCK", Fraction(lanes * lane_words, 8))
             pivots = gf2.pivot_columns(rows, width, bool_rows(use, len(rows)),
                                        bool_rows(rhs, len(rows)))
-        assert pivots.shape == (len(use), width + 1)
+        assert pivots.shape == (len(use), width + 1) and pivots.dtype == bool
         for found, u, r in zip(pivots, use, rhs):
             sol = gf2.solve_packed(rows, width, r, u)
             assert set(np.flatnonzero(found[:width]).tolist()) == set(sol.pivots)
             assert found[width] == (not sol.consistent)
+
+
+def test_pivot_columns_temporaries_are_bounded():
+    """One call on hamming(7)'s G rows (127 x 120) for 20,000 systems holds
+    at most one T x 127 byte copy of an input, a T x 121 byte result and four
+    blocks of 8 SPAN_BLOCK uint64 words: 7.1 MB.  All 20,000 systems at once
+    would take 38 MB."""
+    code = codes.hamming(7)
+    rng = np.random.default_rng(3)
+    trials, n, width = 20_000, code.n, code.k
+    use, rhs = rng.random((trials, n)) < 0.7, rng.random((trials, n)) < 0.5
+    tracemalloc.start()
+    try:
+        gf2.pivot_columns(code.g_rows_packed, width, use, rhs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < trials * (n + width + 1) + 4 * 8 * (8 * gf2.SPAN_BLOCK)
 
 
 def test_solve_without_a_mask_uses_every_row():
